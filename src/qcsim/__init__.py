@@ -66,7 +66,6 @@ from .quadrature import (
     epr_variance,
     expected_sum_variance,
     hiding_window,
-    sample_slot,
     sample_slots,
     slot_from_normals,
 )

@@ -3,12 +3,20 @@
 Three models: passive beam-splitter tapping, wholesale intercept-and-resend
 with a substituted correlated source, and a single-quadrature probe that
 pays the minimum-uncertainty back-action on the conjugate quadrature.
+
+Each attack is one frozen spec class here: a class-level `kind` (its name
+in config files and reports), a default for every field, and
+`begin(amplitude, session_r, rng)`, which returns the per-session
+`Eavesdropper` (None for the honest channel).  Config parsing, reports and
+sweeps work from `ATTACKS` and `ATTACK_SWEEPS`, so a new attack touches
+this module only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -22,16 +30,29 @@ from .quadrature import Quadrature, RngStream, SlotPair, SqueezeParam, sample_sl
 class NoAttack:
     """Honest channel."""
 
+    kind: ClassVar[str] = "none"
+
+    def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
+        return None
+
 
 @dataclass(frozen=True)
 class Tap:
     """Split a fraction tau of the beam off to the eavesdropper."""
 
-    tau: float
+    kind: ClassVar[str] = "tap"
+    tau: float = 0.1
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and 0.0 <= self.tau <= 1.0):
             raise DomainError(f"tap fraction must lie in [0, 1], got {self.tau!r}")
+
+    def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
+        return ProbeEve(self.probe)
+
+    def probe(self, x, y, rng: RngStream):
+        result = tap(x, y, self.tau, rng)
+        return result.to_bob, result.eve[0]
 
 
 @dataclass(frozen=True)
@@ -39,7 +60,8 @@ class InterceptResend:
     """Substitute a fake correlated source toward the sender and relay
     re-modulated bits on the genuine beam."""
 
-    fake_r: float
+    kind: ClassVar[str] = "intercept_resend"
+    fake_r: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.fake_r) and self.fake_r >= 0.0):
@@ -47,12 +69,16 @@ class InterceptResend:
                 f"fake source correlation must be finite and >= 0, got {self.fake_r!r}"
             )
 
+    def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
+        return InterceptResendEve(self.fake_r, amplitude, session_r, rng)
+
 
 @dataclass(frozen=True)
 class Qnd:
     """Read one quadrature with readout noise measurement_var; the conjugate
     quadrature gains back-action noise 1/measurement_var."""
 
+    kind: ClassVar[str] = "qnd"
     measured_quadrature: Quadrature = Quadrature.X
     measurement_var: float = 1.0
 
@@ -62,8 +88,53 @@ class Qnd:
                 f"measurement variance must be > 0, got {self.measurement_var!r}"
             )
 
+    def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
+        return ProbeEve(self.probe)
+
+    def probe(self, x, y, rng: RngStream):
+        result = qnd_measure(
+            x, y, self.measured_quadrature, self.measurement_var, rng
+        )
+        return result.to_bob, result.eve_estimate
+
 
 AttackSpec = NoAttack | Tap | InterceptResend | Qnd
+
+#: Attack specs by the `kind` named in config files and reports.
+ATTACKS = {cls.kind: cls for cls in (NoAttack, Tap, InterceptResend, Qnd)}
+
+#: Sweep parameters that set an attack field: name -> (spec class, field).
+ATTACK_SWEEPS = {
+    "tau": (Tap, "tau"),
+    "fake_r": (InterceptResend, "fake_r"),
+    "sigma_m": (Qnd, "measurement_var"),
+}
+
+
+def swept_attack(attack: AttackSpec, name: str, value: float) -> AttackSpec:
+    """`attack` with sweep parameter `name` set to `value`.  An attack of
+    another kind is replaced by the parameter's kind at its defaults."""
+    cls, field_name = ATTACK_SWEEPS[name]
+    base = attack if type(attack) is cls else cls()
+    return replace(base, **{field_name: value})
+
+
+class Eavesdropper(Protocol):
+    """Per-session state of an attack, returned by its spec's `begin`.
+
+    The session calls `substitute` on every outbound frame right before the
+    sender, `drop` for a frame the sender blocked, and `relay` on every
+    returned frame right after the sender; `rng` is that frame's attack
+    substream.
+    """
+
+    record: EveRecord
+
+    def substitute(self, frame_index: int, x, y, n_slots: int) -> tuple: ...
+
+    def drop(self, frame_index: int) -> None: ...
+
+    def relay(self, frame_index: int, x, y, rng: RngStream) -> tuple: ...
 
 
 @dataclass
@@ -87,14 +158,7 @@ def tap(x, y, tau: float, rng: RngStream) -> TapResult:
     tau = float(tau)
     if not (math.isfinite(tau) and 0.0 <= tau <= 1.0):
         raise DomainError(f"tap fraction must lie in [0, 1], got {tau!r}")
-    g = rng.generator()
-    shape = np.shape(x)
-    if shape:
-        vx = g.standard_normal(shape)
-        vy = g.standard_normal(shape)
-    else:
-        vx = g.standard_normal()
-        vy = g.standard_normal()
+    vx, vy = rng.generator().standard_normal((2, *np.shape(x)))
     keep = math.sqrt(1.0 - tau)
     take = math.sqrt(tau)
     x_bob = keep * x + take * vx
@@ -130,19 +194,36 @@ def qnd_measure(
     beam gains independent noise of variance 1/measurement_var.
     """
     disturbance = back_action_var(measurement_var)
-    g = rng.generator()
-    shape = np.shape(x)
-    if shape:
-        readout = g.standard_normal(shape)
-        kick = g.standard_normal(shape)
-    else:
-        readout = g.standard_normal()
-        kick = g.standard_normal()
+    readout, kick = rng.generator().standard_normal((2, *np.shape(x)))
     readout = math.sqrt(measurement_var) * readout
     kick = math.sqrt(disturbance) * kick
     if quadrature is Quadrature.X:
         return QndResult(eve_estimate=x + readout, to_bob=(x, y + kick))
     return QndResult(eve_estimate=y + readout, to_bob=(x + kick, y))
+
+
+class ProbeEve:
+    """Eavesdropper of an attack on the return leg only: she leaves the
+    outbound beam alone, and per returned frame forwards the beam her
+    `probe(x, y, rng) -> ((x, y), observation)` passes on and keeps the
+    observation."""
+
+    def __init__(self, probe):
+        self._probe = probe
+        self.record = EveRecord()
+
+    def substitute(self, frame_index: int, x, y, n_slots: int):
+        return x, y
+
+    def drop(self, frame_index: int) -> None:
+        pass
+
+    def relay(self, frame_index: int, x, y, rng: RngStream):
+        to_bob, seen = self._probe(x, y, rng)
+        self.record.observations[frame_index] = np.atleast_1d(
+            np.asarray(seen, dtype=float)
+        )
+        return to_bob
 
 
 class InterceptResendEve:
@@ -185,10 +266,12 @@ class InterceptResendEve:
         self._real.pop(frame_index, None)
         self._fake_idler.pop(frame_index, None)
 
-    def relay(self, frame_index: int, encoded_x, encoded_y):
+    def relay(self, frame_index: int, encoded_x, encoded_y, rng: RngStream):
         """Decode the returned fake beam and forward the re-modulated real beam.
 
-        Returns (x, y, decoded_bit) of the beam sent on toward the receiver.
+        Returns (x, y) of the beam sent on toward the receiver; the decoded
+        bit goes to `record.decoded_bits`.  `rng` is unused: her own source
+        draws from the stream she was created with.
         """
         idler_x, idler_y = self._fake_idler.pop(frame_index)
         real_x, real_y = self._real.pop(frame_index)
@@ -207,4 +290,4 @@ class InterceptResendEve:
             slot_count=int(np.size(real_x)),
         )
         out = encode_bit(frame, SlotPair(real_x, real_y, 0.0, 0.0), self.session_r)
-        return out.x1, out.y1, decoded.bit
+        return out.x1, out.y1

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import InterceptResend, Qnd, Tap
+from .adversary import ATTACK_SWEEPS, swept_attack
 from .codec import signal_amplitude_for
 from .config import SpectrumSettings, load_config
 from .detection import SpectralSignal, bell_measure, correlation_degree, spectrum
 from .errors import ConfigError, HidingWindowError, SimulationError
-from .quadrature import Quadrature, RngStream, apply_loss, sample_slots
+from .quadrature import RngStream, apply_loss, sample_slots
 from .report import (
     build_run_report,
     fmt,
@@ -42,7 +42,11 @@ ABORT_EXIT_CODES = {
 _PHASE_SPECTRUM = 1000
 _PHASE_PROBE = 1001
 
-SWEEP_PARAMS = ("r", "tau", "fake_r", "sigma_m", "eta", "margin")
+SWEEP_PARAMS = ("r", *ATTACK_SWEEPS, "eta", "margin")
+
+# Sweep point i, session k runs at seed + stride*(i+1) + k; more sessions per
+# point than the stride would reuse seeds of the next point.
+_POINT_SEED_STRIDE = 7919
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +135,7 @@ def _cmd_run(args) -> int:
     print(f"status: {report.status}" + (f" ({report.abort_reason})" if report.abort_reason else ""))
     if report.key is not None:
         print(f"key: {report.key}")
-    print(f"ber: {fmt(report.ber)}")
+    print(f"ber: {'n/a' if report.ber is None else fmt(report.ber)}")
     if report.cd_plus_db is not None:
         print(
             f"correlation degree: {fmt(report.cd_plus_db)} dB "
@@ -187,19 +191,8 @@ def _parse_grid(text: str) -> list[float]:
 def _apply_sweep_param(cfg: SessionConfig, name: str, value: float) -> SessionConfig:
     if name == "r":
         return replace(cfg, r=value)
-    if name == "tau":
-        return replace(cfg, attack=Tap(tau=value))
-    if name == "fake_r":
-        return replace(cfg, attack=InterceptResend(fake_r=value))
-    if name == "sigma_m":
-        quadrature = (
-            cfg.attack.measured_quadrature
-            if isinstance(cfg.attack, Qnd)
-            else Quadrature.X
-        )
-        return replace(
-            cfg, attack=Qnd(measured_quadrature=quadrature, measurement_var=value)
-        )
+    if name in ATTACK_SWEEPS:
+        return replace(cfg, attack=swept_attack(cfg.attack, name, value))
     if name == "eta":
         return replace(cfg, eta_out=value)
     if name == "margin":
@@ -228,9 +221,10 @@ def _cd_probe(cfg: SessionConfig, seed: int) -> float:
 
 
 def _cmd_sweep(args) -> int:
-    if args.sessions_per_point < 1:
+    if not 1 <= args.sessions_per_point <= _POINT_SEED_STRIDE:
         raise ConfigError(
-            f"--sessions-per-point must be >= 1, got {args.sessions_per_point}"
+            f"--sessions-per-point must lie in [1, {_POINT_SEED_STRIDE}], "
+            f"got {args.sessions_per_point}"
         )
     base_cfg, _ = load_config(args.config, seed_override=args.seed)
     values = _parse_grid(args.grid)
@@ -243,10 +237,11 @@ def _cmd_sweep(args) -> int:
     lines = ["param,value,cd_db,ber,detection_rate"]
     for index, value in enumerate(values):
         point_cfg = _apply_sweep_param(base_cfg, args.param, value)
+        point_seed = base_cfg.seed + _POINT_SEED_STRIDE * (index + 1)
         try:
             signal_amplitude_for(point_cfg.r, point_cfg.margin)
         except HidingWindowError:
-            cd_db = _cd_probe(point_cfg, base_cfg.seed + 7919 * (index + 1))
+            cd_db = _cd_probe(point_cfg, point_seed)
             lines.append(f"{args.param},{fmt(value)},{fmt(cd_db)},,")
             print(
                 f"qcsim: note: {args.param}={fmt(value)} leaves no hiding window; "
@@ -256,20 +251,21 @@ def _cmd_sweep(args) -> int:
             continue
         cds, bers, detections = [], [], []
         for k in range(args.sessions_per_point):
-            point_seed = base_cfg.seed + 7919 * (index + 1) + k
-            transcript = run_session(replace(point_cfg, seed=point_seed))
+            transcript = run_session(replace(point_cfg, seed=point_seed + k))
             if transcript.cd is not None:
                 cds.append(transcript.cd.measured_plus_db)
-            bers.append(
-                compare_keys(transcript.sent_bits, transcript.decoded_bits).ber
-            )
+            ber = compare_keys(transcript.sent_bits, transcript.decoded_bits).ber
+            if ber is not None:
+                bers.append(ber)
             detections.append(
                 transcript.verdict.status is VerdictStatus.EVE_SUSPECTED
             )
         cd_db = float(np.mean(cds)) if cds else float("nan")
+        # Only sessions that compared bits have an error rate to average.
+        ber = fmt(float(np.mean(bers))) if bers else ""
         lines.append(
-            f"{args.param},{fmt(value)},{fmt(cd_db)},"
-            f"{fmt(float(np.mean(bers)))},{fmt(float(np.mean(detections)))}"
+            f"{args.param},{fmt(value)},{fmt(cd_db)},{ber},"
+            f"{fmt(float(np.mean(detections)))}"
         )
 
     out_path = Path(args.out)

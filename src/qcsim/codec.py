@@ -119,21 +119,6 @@ class DecodedBit:
     confidence: float
 
 
-def _joint_arrays(joint):
-    # Accepts the array-holding JointMeasurement container or any sequence of
-    # per-slot measurements with d_plus/d_minus attributes.
-    if hasattr(joint, "d_plus"):
-        return (
-            np.atleast_1d(np.asarray(joint.d_plus, dtype=float)),
-            np.atleast_1d(np.asarray(joint.d_minus, dtype=float)),
-        )
-    items = list(joint)
-    return (
-        np.array([m.d_plus for m in items], dtype=float),
-        np.array([m.d_minus for m in items], dtype=float),
-    )
-
-
 def decode_bit(joint, amplitude: float, noise_var: float) -> DecodedBit:
     """Decide a frame's bit from the block means of the two joint outputs.
 
@@ -146,7 +131,8 @@ def decode_bit(joint, amplitude: float, noise_var: float) -> DecodedBit:
         raise DomainError(f"amplitude must be > 0, got {amplitude!r}")
     if not noise_var > 0.0:
         raise DomainError(f"noise_var must be > 0, got {noise_var!r}")
-    d_plus, d_minus = _joint_arrays(joint)
+    d_plus = np.atleast_1d(np.asarray(joint.d_plus, dtype=float))
+    d_minus = np.atleast_1d(np.asarray(joint.d_minus, dtype=float))
     if d_plus.size == 0:
         raise ValueError("cannot decode an empty frame")
     if d_plus.shape != d_minus.shape:

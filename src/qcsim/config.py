@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .adversary import InterceptResend, NoAttack, Qnd, Tap
+from .adversary import ATTACKS
 from .detection import DEFAULT_ELECTRONIC_NOISE_VAR, DetectorConfig
 from .errors import ConfigError, DomainError
 from .quadrature import Quadrature
@@ -28,7 +28,7 @@ _KNOWN_KEYS = {
         "block_prob",
     },
     "detector": {"electronic_noise_var"},
-    "attack": {"kind", "tau", "fake_r", "measured_quadrature", "measurement_var"},
+    "attack": {"kind"} | {f.name for cls in ATTACKS.values() for f in fields(cls)},
     "thresholds": {"pearson", "rms_ratio", "cd_margin_db"},
     "spectrum": {
         "span_low_hz",
@@ -39,8 +39,6 @@ _KNOWN_KEYS = {
         "signal_quadrature",
     },
 }
-
-_ATTACK_KINDS = ("none", "tap", "intercept_resend", "qnd")
 
 
 @dataclass(frozen=True)
@@ -153,24 +151,18 @@ def load_config(
         raise ConfigError("[session] seed is required (or pass --seed)")
 
     kind = (att.take_str("kind", "none") or "none").lower()
-    if kind not in _ATTACK_KINDS:
+    if kind not in ATTACKS:
         raise ConfigError(
-            f"[attack] kind: expected one of {', '.join(_ATTACK_KINDS)}, got {kind!r}"
+            f"[attack] kind: expected one of {', '.join(ATTACKS)}, got {kind!r}"
         )
+    # Only the chosen kind's options apply; every one has a default.
+    options = {}
+    for f in fields(ATTACKS[kind]):
+        is_quadrature = isinstance(f.default, Quadrature)
+        take = att.take_quadrature if is_quadrature else att.take_float
+        options[f.name] = take(f.name, f.default)
     try:
-        if kind == "none":
-            attack = NoAttack()
-        elif kind == "tap":
-            attack = Tap(tau=att.take_float("tau", 0.1))
-        elif kind == "intercept_resend":
-            attack = InterceptResend(fake_r=att.take_float("fake_r", 1.0))
-        else:
-            attack = Qnd(
-                measured_quadrature=att.take_quadrature(
-                    "measured_quadrature", Quadrature.X
-                ),
-                measurement_var=att.take_float("measurement_var", 1.0),
-            )
+        attack = ATTACKS[kind](**options)
     except DomainError as exc:
         raise ConfigError(f"[attack] {exc}") from None
 

@@ -54,13 +54,9 @@ def _bell_outputs(x1, y1, x2, y2, cfg: DetectorConfig, g: np.random.Generator):
     d_minus = y1 - y2
     if cfg.electronic_noise_var > 0.0:
         scale = math.sqrt(cfg.electronic_noise_var)
-        shape = np.shape(d_plus)
-        if shape:
-            d_plus = d_plus + scale * g.standard_normal(shape)
-            d_minus = d_minus + scale * g.standard_normal(shape)
-        else:
-            d_plus = d_plus + scale * g.standard_normal()
-            d_minus = d_minus + scale * g.standard_normal()
+        n_plus, n_minus = g.standard_normal((2, *np.shape(d_plus)))
+        d_plus = d_plus + scale * n_plus
+        d_minus = d_minus + scale * n_minus
     return JointMeasurement(d_plus=d_plus, d_minus=d_minus)
 
 

@@ -153,12 +153,6 @@ def covariance_matrix(r: SqueezeParam) -> np.ndarray:
     )
 
 
-def sample_slot(r: SqueezeParam, rng: RngStream) -> SlotPair:
-    """Draw a single slot; (r, rng) fully determine the result."""
-    u, v, w, z = rng.generator().standard_normal(4)
-    return slot_from_normals(r, u, v, w, z)
-
-
 def sample_slots(r: SqueezeParam, rng: RngStream, n: int) -> SlotPair:
     """Draw a batch of n slots from one substream in a single vectorized pass."""
     n = int(n)
@@ -174,14 +168,7 @@ def apply_loss(x, y, eta: float, rng: RngStream):
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta!r}")
-    g = rng.generator()
-    shape = np.shape(x)
-    if shape:
-        vx = g.standard_normal(shape)
-        vy = g.standard_normal(shape)
-    else:
-        vx = g.standard_normal()
-        vy = g.standard_normal()
+    vx, vy = rng.generator().standard_normal((2, *np.shape(x)))
     t = math.sqrt(eta)
     f = math.sqrt(1.0 - eta)
     return t * x + f * vx, t * y + f * vy

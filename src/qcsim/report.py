@@ -8,13 +8,13 @@ files written from identical runs are byte-identical across platforms.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .adversary import InterceptResend, NoAttack, Qnd, Tap
 from .detection import NoiseSpectrum
+from .quadrature import Quadrature
 from .session import SessionConfig, SessionTranscript, compare_keys
 from .verification import BlockTraces
 
@@ -34,19 +34,11 @@ def _num(x) -> float | None:
 
 
 def attack_to_dict(attack) -> dict:
-    if isinstance(attack, NoAttack):
-        return {"kind": "none"}
-    if isinstance(attack, Tap):
-        return {"kind": "tap", "tau": _num(attack.tau)}
-    if isinstance(attack, InterceptResend):
-        return {"kind": "intercept_resend", "fake_r": _num(attack.fake_r)}
-    if isinstance(attack, Qnd):
-        return {
-            "kind": "qnd",
-            "measured_quadrature": attack.measured_quadrature.value,
-            "measurement_var": _num(attack.measurement_var),
-        }
-    raise TypeError(f"unknown attack spec {attack!r}")
+    d = {"kind": attack.kind}
+    for f in fields(attack):
+        value = getattr(attack, f.name)
+        d[f.name] = value.value if isinstance(value, Quadrature) else _num(value)
+    return d
 
 
 def config_to_dict(cfg: SessionConfig) -> dict:
@@ -152,7 +144,7 @@ class RunReport:
     key: str | None
     sent_bits: str
     decoded_bits: str
-    ber: float
+    ber: float | None  # None when no bits were compared
     mismatches: tuple[int, ...]
     cd_plus_db: float | None
     cd_minus_db: float | None

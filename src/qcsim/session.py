@@ -15,17 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import (
-    AttackSpec,
-    EveRecord,
-    InterceptResend,
-    InterceptResendEve,
-    NoAttack,
-    Qnd,
-    Tap,
-    qnd_measure,
-    tap,
-)
+from .adversary import AttackSpec, Eavesdropper, EveRecord, NoAttack
 from .codec import (
     BitFrame,
     DecodedBit,
@@ -103,9 +93,11 @@ class SessionConfig:
             raise ConfigError(f"key_bits must be a 0/1 string, got {self.key_bits!r}")
         if self.frames < 1:
             raise ConfigError(f"frames must be >= 1, got {self.frames!r}")
-        if self.slots_per_frame < 1:
+        # Two slots per frame are the least that trace stats and the
+        # per-frame correlation degree can be computed from.
+        if self.slots_per_frame < 2:
             raise ConfigError(
-                f"slots_per_frame must be >= 1, got {self.slots_per_frame!r}"
+                f"slots_per_frame must be >= 2, got {self.slots_per_frame!r}"
             )
         if not (math.isfinite(self.margin) and 0.0 < self.margin < 1.0):
             raise ConfigError(f"margin must lie in (0, 1), got {self.margin!r}")
@@ -123,8 +115,8 @@ class SessionConfig:
 @dataclass(frozen=True)
 class FrameCd:
     frame_index: int
-    plus_db: float | None
-    minus_db: float | None
+    plus_db: float
+    minus_db: float
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,7 @@ class SessionOutcome:
 
 @dataclass(frozen=True)
 class KeyComparison:
-    ber: float
+    ber: float | None  # None when no bits were compared
     mismatches: tuple[int, ...]
 
 
@@ -153,7 +145,6 @@ class FrameOutcome:
     measurement: JointMeasurement | None
     decoded: DecodedBit | None
     sent_bit: int | None
-    eve_bit: int | None
     traces: BlockTraces | None
 
 
@@ -193,7 +184,8 @@ def _pooled_residual_cd(frame_outputs: list[np.ndarray]) -> float | None:
 
 
 def compare_keys(sent: str, decoded: str) -> KeyComparison:
-    """Bit error rate and mismatch positions of two equal-length bit strings."""
+    """Bit error rate and mismatch positions of two equal-length bit strings;
+    the rate is None for empty strings."""
     if len(sent) != len(decoded):
         raise ValueError(
             f"bit strings differ in length: {len(sent)} vs {len(decoded)}"
@@ -201,7 +193,7 @@ def compare_keys(sent: str, decoded: str) -> KeyComparison:
     mismatches = tuple(
         i for i, (a, b) in enumerate(zip(sent, decoded)) if a != b
     )
-    ber = len(mismatches) / len(sent) if sent else 0.0
+    ber = len(mismatches) / len(sent) if sent else None
     return KeyComparison(ber=ber, mismatches=mismatches)
 
 
@@ -223,8 +215,7 @@ def simulate_frame(
     amplitude: float,
     noise_var: float,
     root: RngStream,
-    eve: InterceptResendEve | None,
-    eve_record: EveRecord | None,
+    eve: Eavesdropper | None,
 ) -> FrameOutcome:
     """Simulate one frame end to end.  `bit` is None for blocked frames."""
     m = cfg.slots_per_frame
@@ -260,7 +251,6 @@ def simulate_frame(
             measurement=None,
             decoded=None,
             sent_bit=None,
-            eve_bit=None,
             traces=traces,
         )
 
@@ -269,31 +259,10 @@ def simulate_frame(
     sig_x, sig_y = encoded.x1, encoded.y1
 
     # Return leg: attacker hooks near the sender's output, then channel loss.
-    eve_bit = None
     if eve is not None:
-        sig_x, sig_y, eve_bit = eve.relay(frame_index, sig_x, sig_y)
-    elif isinstance(cfg.attack, Tap):
-        result = tap(
-            sig_x, sig_y, cfg.attack.tau, root.substream(frame_index, _PHASE_ATTACK)
+        sig_x, sig_y = eve.relay(
+            frame_index, sig_x, sig_y, root.substream(frame_index, _PHASE_ATTACK)
         )
-        sig_x, sig_y = result.to_bob
-        if eve_record is not None:
-            eve_record.observations[frame_index] = np.atleast_1d(
-                np.asarray(result.eve[0], dtype=float)
-            )
-    elif isinstance(cfg.attack, Qnd):
-        result = qnd_measure(
-            sig_x,
-            sig_y,
-            cfg.attack.measured_quadrature,
-            cfg.attack.measurement_var,
-            root.substream(frame_index, _PHASE_ATTACK),
-        )
-        sig_x, sig_y = result.to_bob
-        if eve_record is not None:
-            eve_record.observations[frame_index] = np.atleast_1d(
-                np.asarray(result.eve_estimate, dtype=float)
-            )
     sig_x, sig_y = apply_loss(
         sig_x, sig_y, cfg.eta_back, root.substream(frame_index, _PHASE_LOSS_BACK)
     )
@@ -314,7 +283,6 @@ def simulate_frame(
         measurement=measurement,
         decoded=decoded,
         sent_bit=bit,
-        eve_bit=eve_bit,
         traces=None,
     )
 
@@ -335,18 +303,7 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
         cfg.frames, cfg.block_prob, root.substream(0, _PHASE_BLOCKS)
     )
 
-    eve = None
-    eve_record = None
-    if isinstance(cfg.attack, InterceptResend):
-        eve = InterceptResendEve(
-            cfg.attack.fake_r,
-            amplitude,
-            cfg.r,
-            RngStream(cfg.seed ^ _EVE_SEED_SALT),
-        )
-        eve_record = eve.record
-    elif isinstance(cfg.attack, (Tap, Qnd)):
-        eve_record = EveRecord()
+    eve = cfg.attack.begin(amplitude, cfg.r, RngStream(cfg.seed ^ _EVE_SEED_SALT))
 
     outcomes: list[FrameOutcome] = []
     key_pos = 0
@@ -356,9 +313,7 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
             bit = int(cfg.key_bits[key_pos % len(cfg.key_bits)])
             key_pos += 1
         outcomes.append(
-            simulate_frame(
-                cfg, f, schedule, bit, amplitude, noise_var, root, eve, eve_record
-            )
+            simulate_frame(cfg, f, schedule, bit, amplitude, noise_var, root, eve)
         )
 
     unblocked = [o for o in outcomes if not o.blocked]
@@ -366,14 +321,14 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
     decoded_bits = "".join(str(o.decoded.bit) for o in unblocked)
     confidences = tuple(o.decoded.confidence for o in unblocked)
 
-    frame_cd = []
-    for o in unblocked:
-        if cfg.slots_per_frame >= 2:
-            plus = correlation_degree(o.measurement, Quadrature.X).cd_db
-            minus = correlation_degree(o.measurement, Quadrature.Y).cd_db
-        else:
-            plus = minus = None
-        frame_cd.append(FrameCd(o.frame_index, plus, minus))
+    frame_cd = tuple(
+        FrameCd(
+            o.frame_index,
+            correlation_degree(o.measurement, Quadrature.X).cd_db,
+            correlation_degree(o.measurement, Quadrature.Y).cd_db,
+        )
+        for o in unblocked
+    )
 
     cd_summary = None
     plus_db = _pooled_residual_cd([np.atleast_1d(o.measurement.d_plus) for o in unblocked])
@@ -402,9 +357,9 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
         blocked_frames=tuple(sorted(schedule.blocked)),
         traces=traces,
         trace_stats=stats,
-        frame_cd=tuple(frame_cd),
+        frame_cd=frame_cd,
         cd=cd_summary,
         verdict=session_verdict,
         outcome=outcome,
-        eve=eve_record,
+        eve=eve.record if eve is not None else None,
     )

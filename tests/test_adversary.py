@@ -146,7 +146,6 @@ def _run_intercept_chain(fake_r, session_r, bits, m, seed):
     eve = InterceptResendEve(fake_r, amplitude, session_r, RngStream(seed ^ 0xE5E))
     root = RngStream(seed)
     noise_var = 2.0 * math.exp(-2.0 * session_r)
-    eve_bits = []
     bob_bits = []
     for i, bit in enumerate(bits):
         slots = sample_slots(session_r, root.substream(i), m)
@@ -156,8 +155,7 @@ def _run_intercept_chain(fake_r, session_r, bits, m, seed):
             fake_x = fake_x + amplitude
         else:
             fake_y = fake_y + amplitude
-        to_bob_x, to_bob_y, eve_bit = eve.relay(i, fake_x, fake_y)
-        eve_bits.append(eve_bit)
+        to_bob_x, to_bob_y = eve.relay(i, fake_x, fake_y, root.substream(i, 2))
         joint = bell_measure(
             (to_bob_x, to_bob_y),
             (slots.x2, slots.y2),
@@ -165,7 +163,7 @@ def _run_intercept_chain(fake_r, session_r, bits, m, seed):
             root.substream(i, 1),
         )
         bob_bits.append(decode_bit(joint, amplitude, noise_var).bit)
-    return eve_bits, bob_bits, eve
+    return list(eve.record.decoded_bits), bob_bits, eve
 
 
 def test_intercept_resend_relays_bits_invisibly():
@@ -208,7 +206,7 @@ def test_intercept_eve_drop_discards_frame_state():
     eve.substitute(0, slots.x1, slots.y1, 16)
     eve.drop(0)
     with pytest.raises(KeyError):
-        eve.relay(0, slots.x1, slots.y1)
+        eve.relay(0, slots.x1, slots.y1, RngStream(54))
 
 
 @pytest.mark.parametrize("bad_tau", [-0.01, 1.01, float("nan")])

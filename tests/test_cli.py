@@ -70,7 +70,7 @@ def test_run_exit_code_for_intercept_resend(tmp_path):
     assert "trace_anticorrelation_lost" in report.verdict_reasons
 
 
-def test_run_exit_code_for_no_key_material(tmp_path):
+def test_run_exit_code_for_no_key_material(tmp_path, capsys):
     config = _write(
         tmp_path,
         "blocked.ini",
@@ -78,6 +78,37 @@ def test_run_exit_code_for_no_key_material(tmp_path):
     )
     code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
     assert code == 3
+    # No bits were compared, so there is no error rate.
+    assert load_report(tmp_path / "out" / "report.json").ber is None
+    assert "ber: n/a" in capsys.readouterr().out
+
+
+ATTACK_SECTIONS = {
+    "none": "",
+    "tap": "[attack]\nkind = tap\ntau = 0.3\n",
+    "intercept_resend": "[attack]\nkind = intercept_resend\n",
+    "qnd": "[attack]\nkind = qnd\n",
+}
+
+
+@pytest.mark.parametrize("attack", sorted(ATTACK_SECTIONS))
+@pytest.mark.parametrize("block_prob", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("slots_per_frame", [1, 2])
+def test_run_ends_in_documented_exit_code(
+    tmp_path, capsys, slots_per_frame, block_prob, attack
+):
+    config = _write(
+        tmp_path,
+        "small.ini",
+        "[session]\nr = 0.4375\nkey_bits = 100110\nseed = 3\nframes = 6\n"
+        f"slots_per_frame = {slots_per_frame}\nblock_prob = {block_prob}\n"
+        + ATTACK_SECTIONS[attack],
+    )
+    code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert code in (0, 1, 2, 3)
+    if slots_per_frame < 2:
+        assert code == 1
+        assert "slots_per_frame must be >= 2" in capsys.readouterr().err
 
 
 def test_run_rejects_subthreshold_correlation(tmp_path, capsys):
@@ -248,6 +279,52 @@ def test_sweep_rejects_unknown_parameter(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_sweep_leaves_ber_empty_without_compared_bits(tmp_path):
+    config = _write(tmp_path, "sweep.ini", SIX_BIT_CONFIG + "block_prob = 1.0\n")
+    out = tmp_path / "blocked.csv"
+    code = main(
+        [
+            "sweep",
+            "--config",
+            str(config),
+            "--param",
+            "tau",
+            "--grid",
+            "0:0.2:0.1",
+            "--out",
+            str(out),
+            "--sessions-per-point",
+            "2",
+        ]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(row[3] == "" and row[4] != "" for row in rows)
+
+
+def test_sweep_rejects_colliding_point_seeds(tmp_path, capsys):
+    config = _write(tmp_path, "sweep.ini", SIX_BIT_CONFIG)
+    code = main(
+        [
+            "sweep",
+            "--config",
+            str(config),
+            "--param",
+            "tau",
+            "--grid",
+            "0:0.1:0.1",
+            "--out",
+            str(tmp_path / "x.csv"),
+            "--sessions-per-point",
+            "7920",
+        ]
+    )
+    assert code == 1
+    assert "--sessions-per-point" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_rejects_empty_grid(tmp_path):

@@ -155,7 +155,7 @@ def test_decode_tie_breaks_to_zero():
 
 
 def test_decode_accepts_measurement_sequence():
-    seq = [JointMeasurement(1.0, 0.1), JointMeasurement(0.8, -0.1)]
+    seq = JointMeasurement(np.array([1.0, 0.8]), np.array([0.1, -0.1]))
     assert decode_bit(seq, amplitude=1.0, noise_var=0.27).bit == 1
 
 

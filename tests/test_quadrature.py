@@ -12,7 +12,6 @@ from qcsim import (
     epr_variance,
     expected_sum_variance,
     hiding_window,
-    sample_slot,
     sample_slots,
     slot_from_normals,
 )
@@ -122,8 +121,8 @@ def test_sampling_reproducibility():
     assert np.array_equal(a.y2, b.y2)
     other = sample_slots(0.5, RngStream(123, 43), 1000)
     assert not np.array_equal(a.x1, other.x1)
-    single = sample_slot(0.5, RngStream(123, 42))
-    again = sample_slot(0.5, RngStream(123, 42))
+    single = sample_slots(0.5, RngStream(123, 42), 1)
+    again = sample_slots(0.5, RngStream(123, 42), 1)
     assert single == again
 
 

@@ -93,7 +93,7 @@ def test_idler_is_never_transformed(attack):
         _EVE_SEED_SALT,
         simulate_frame,
     )
-    from qcsim import InterceptResendEve, signal_amplitude_for
+    from qcsim import signal_amplitude_for
     from qcsim.quadrature import expected_sum_variance
     from qcsim.verification import schedule_blocks
     from qcsim.session import _PHASE_BLOCKS
@@ -104,16 +104,11 @@ def test_idler_is_never_transformed(attack):
     )
     root = RngStream(cfg.seed)
     schedule = schedule_blocks(cfg.frames, cfg.block_prob, root.substream(0, _PHASE_BLOCKS))
-    eve = None
-    if isinstance(attack, InterceptResend):
-        eve = InterceptResendEve(
-            attack.fake_r, amplitude, cfg.r, RngStream(cfg.seed ^ _EVE_SEED_SALT)
-        )
+    eve = attack.begin(amplitude, cfg.r, RngStream(cfg.seed ^ _EVE_SEED_SALT))
     for f in range(cfg.frames):
         bit = None if schedule.is_blocked(f) else 1
         outcome = simulate_frame(
-            cfg, f, schedule, bit, amplitude, noise_var, root, eve,
-            eve.record if eve else None,
+            cfg, f, schedule, bit, amplitude, noise_var, root, eve
         )
         regenerated = sample_slots(cfg.r, root.substream(f, _PHASE_EPR), cfg.slots_per_frame)
         assert np.array_equal(outcome.idler_x, regenerated.x2)
@@ -138,6 +133,7 @@ def test_compare_keys():
     result = compare_keys("100110", "000110")
     assert result.ber == pytest.approx(1.0 / 6.0)
     assert result.mismatches == (0,)
+    assert compare_keys("", "").ber is None
     with pytest.raises(ValueError):
         compare_keys("101", "10")
 
