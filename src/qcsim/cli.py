@@ -42,7 +42,10 @@ ABORT_EXIT_CODES = {
 _PHASE_SPECTRUM = 1000
 _PHASE_PROBE = 1001
 
-SWEEP_PARAMS = ("r", *ATTACK_SWEEPS, "eta", "margin")
+#: Sweep parameters that set a session field: name -> SessionConfig field.
+SESSION_SWEEPS = {"r": "r", "eta": "eta_out", "margin": "margin"}
+
+SWEEP_PARAMS = (*SESSION_SWEEPS, *ATTACK_SWEEPS)
 
 # Sweep point i, session k runs at seed + stride*(i+1) + k; more sessions per
 # point than the stride would reuse seeds of the next point.
@@ -112,6 +115,11 @@ def main(argv=None) -> int:
 def _cmd_run(args) -> int:
     cfg, spectrum_cfg = load_config(args.config, seed_override=args.seed)
     transcript = run_session(cfg)
+    # Before any file is written, so that invalid spectrum settings leave no
+    # partial output.
+    spectrum = None
+    if args.spectrum:
+        spectrum = _session_spectrum(cfg, spectrum_cfg, transcript)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -123,11 +131,9 @@ def _cmd_run(args) -> int:
         trace_files.append(name)
 
     spectrum_file = None
-    if args.spectrum:
+    if spectrum is not None:
         spectrum_file = "spectrum.csv"
-        write_spectrum_csv(
-            out_dir / spectrum_file, _session_spectrum(cfg, spectrum_cfg, transcript)
-        )
+        write_spectrum_csv(out_dir / spectrum_file, spectrum)
 
     report = build_run_report(transcript, tuple(trace_files), spectrum_file)
     write_report(out_dir / "report.json", report)
@@ -189,17 +195,9 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _apply_sweep_param(cfg: SessionConfig, name: str, value: float) -> SessionConfig:
-    if name == "r":
-        return replace(cfg, r=value)
     if name in ATTACK_SWEEPS:
         return replace(cfg, attack=swept_attack(cfg.attack, name, value))
-    if name == "eta":
-        return replace(cfg, eta_out=value)
-    if name == "margin":
-        return replace(cfg, margin=value)
-    raise ConfigError(
-        f"unknown sweep parameter {name!r}; expected one of {', '.join(SWEEP_PARAMS)}"
-    )
+    return replace(cfg, **{SESSION_SWEEPS[name]: value})
 
 
 def _cd_probe(cfg: SessionConfig, seed: int) -> float:

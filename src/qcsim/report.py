@@ -8,14 +8,14 @@ files written from identical runs are byte-identical across platforms.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .detection import NoiseSpectrum
 from .quadrature import Quadrature
-from .session import SessionConfig, SessionTranscript, compare_keys
+from .session import SessionTranscript, compare_keys
 from .verification import BlockTraces
 
 SCHEMA_VERSION = "1.0"
@@ -33,33 +33,20 @@ def _num(x) -> float | None:
     return float(fmt(x))
 
 
-def attack_to_dict(attack) -> dict:
-    d = {"kind": attack.kind}
-    for f in fields(attack):
-        value = getattr(attack, f.name)
-        d[f.name] = value.value if isinstance(value, Quadrature) else _num(value)
+def config_to_dict(config) -> dict:
+    """JSON-ready fields of a config dataclass, nested sections included; an
+    attack spec also records its `kind`."""
+    d = {"kind": config.kind} if hasattr(config, "kind") else {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, Quadrature):
+            value = value.value
+        elif f.type.startswith("float"):
+            value = _num(value)
+        d[f.name] = value
     return d
-
-
-def config_to_dict(cfg: SessionConfig) -> dict:
-    return {
-        "r": _num(cfg.r),
-        "key_bits": cfg.key_bits,
-        "seed": cfg.seed,
-        "frames": cfg.frames,
-        "slots_per_frame": cfg.slots_per_frame,
-        "margin": _num(cfg.margin),
-        "eta_out": _num(cfg.eta_out),
-        "eta_back": _num(cfg.eta_back),
-        "block_prob": _num(cfg.block_prob),
-        "detector": {"electronic_noise_var": _num(cfg.detector.electronic_noise_var)},
-        "attack": attack_to_dict(cfg.attack),
-        "thresholds": {
-            "pearson": _num(cfg.thresholds.pearson),
-            "rms_ratio": _num(cfg.thresholds.rms_ratio),
-            "cd_margin_db": _num(cfg.thresholds.cd_margin_db),
-        },
-    }
 
 
 def dumps_deterministic(obj) -> str:
@@ -157,36 +144,15 @@ class RunReport:
     config: dict
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mismatches"] = list(self.mismatches)
-        d["verdict_reasons"] = list(self.verdict_reasons)
-        d["blocked_frames"] = list(self.blocked_frames)
-        d["trace_files"] = list(self.trace_files)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            schema_version=d["schema_version"],
-            version=d["version"],
-            seed=d["seed"],
-            status=d["status"],
-            abort_reason=d["abort_reason"],
-            key=d["key"],
-            sent_bits=d["sent_bits"],
-            decoded_bits=d["decoded_bits"],
-            ber=d["ber"],
-            mismatches=tuple(d["mismatches"]),
-            cd_plus_db=d["cd_plus_db"],
-            cd_minus_db=d["cd_minus_db"],
-            cd_expected_db=d["cd_expected_db"],
-            verdict_status=d["verdict_status"],
-            verdict_reasons=tuple(d["verdict_reasons"]),
-            blocked_frames=tuple(d["blocked_frames"]),
-            trace_files=tuple(d["trace_files"]),
-            spectrum_file=d["spectrum_file"],
-            config=d["config"],
-        )
+        # JSON gives back the tuple fields as lists.
+        return cls(**{
+            f.name: tuple(d[f.name]) if isinstance(d[f.name], list) else d[f.name]
+            for f in fields(cls)
+        })
 
 
 def build_run_report(

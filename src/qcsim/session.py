@@ -71,9 +71,9 @@ ABORT_NO_KEY = "no_key_material"
 
 @dataclass(frozen=True)
 class SessionConfig:
-    r: float
     key_bits: str
     seed: int
+    r: float = 0.4375
     frames: int = 6
     slots_per_frame: int = 64
     margin: float = 0.5

@@ -142,7 +142,7 @@ class Thresholds:
     rms_ratio: float | None = None
     cd_margin_db: float = 0.5
 
-    def resolve(self, r: SqueezeParam) -> "ResolvedThresholds":
+    def resolve(self, r: SqueezeParam) -> "Thresholds":
         r = _check_r(r)
         if not (math.isfinite(self.cd_margin_db) and self.cd_margin_db > 0.0):
             raise DomainError(
@@ -156,18 +156,11 @@ class Thresholds:
         if rms_ratio is None:
             # Midpoint between the honest ratio e^-2r and the uncorrelated 1.
             rms_ratio = (math.exp(-2.0 * r) + 1.0) / 2.0
-        return ResolvedThresholds(
+        return Thresholds(
             pearson=float(pearson),
             rms_ratio=float(rms_ratio),
             cd_margin_db=float(self.cd_margin_db),
         )
-
-
-@dataclass(frozen=True)
-class ResolvedThresholds:
-    pearson: float
-    rms_ratio: float
-    cd_margin_db: float
 
 
 @dataclass(frozen=True)
@@ -198,9 +191,11 @@ class Verdict:
 def verdict(
     stats: list[TraceStats] | tuple[TraceStats, ...],
     cd: CdSummary | None,
-    thresholds: ResolvedThresholds,
+    thresholds: Thresholds,
 ) -> Verdict:
     """Combine blocked-frame trace evidence and correlation monitoring.
+
+    `thresholds` must be resolved (no None fields).
 
     Suspicion is raised when the mean trace correlation is weaker than the
     pearson threshold, when the mean rms sum/difference ratio approaches the

@@ -15,7 +15,7 @@ from qcsim import (
     load_config,
 )
 from qcsim.cli import _apply_sweep_param
-from qcsim.report import attack_to_dict
+from qcsim.report import config_to_dict as attack_to_dict
 
 SESSION = "[session]\nr = 0.4375\nkey_bits = 1\nseed = 1\n"
 

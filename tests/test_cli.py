@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from qcsim import load_config
-from qcsim.cli import main
+from qcsim import SessionConfig, Tap, load_config
+from qcsim.cli import _apply_sweep_param, main
 from qcsim.errors import ConfigError
 from qcsim.report import load_report
 
@@ -186,6 +187,15 @@ def test_trace_and_spectrum_headers(tmp_path):
     assert len(spectrum_lines) == 1 + 67
 
 
+def test_run_with_invalid_spectrum_settings_writes_no_file(tmp_path, capsys):
+    text = BLOCKING_CONFIG + "[spectrum]\naverages = 0\n"
+    config = _write(tmp_path, "session.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out), "--spectrum"]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_round_trips(tmp_path):
     config = _write(tmp_path, "session.ini", BLOCKING_CONFIG)
     out = tmp_path / "out"
@@ -261,6 +271,19 @@ def test_sweep_r_flags_empty_window_rows(tmp_path, capsys):
     later = lines[-1].split(",")
     assert later[3] != "" and later[4] != ""
     assert "no hiding window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, field", [("r", "r"), ("eta", "eta_out"), ("margin", "margin")]
+)
+def test_session_sweep_params_set_only_their_field(name, field):
+    cfg = SessionConfig(
+        key_bits="1", seed=1, r=0.5, margin=0.4, eta_out=0.8, eta_back=0.7,
+        attack=Tap(tau=0.2),
+    )
+    swept = _apply_sweep_param(cfg, name, 0.3)
+    assert getattr(swept, field) == 0.3
+    assert replace(swept, **{field: getattr(cfg, field)}) == cfg
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):
