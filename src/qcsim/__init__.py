@@ -22,6 +22,7 @@ from .adversary import (
     tap,
 )
 from .codec import (
+    BitBlock,
     BitFrame,
     DecodedBit,
     Modulation,
@@ -55,6 +56,7 @@ from .errors import (
 )
 from .quadrature import (
     HIDING_THRESHOLD_R,
+    FrameRows,
     HidingWindow,
     Quadrature,
     RngStream,
@@ -71,7 +73,6 @@ from .quadrature import (
 )
 from .report import PACKAGE_VERSION, RunReport, build_run_report, transcript_to_json
 from .session import (
-    FrameOutcome,
     KeyComparison,
     SessionConfig,
     SessionOutcome,

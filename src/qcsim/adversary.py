@@ -20,10 +20,17 @@ from typing import ClassVar, Protocol
 
 import numpy as np
 
-from .codec import BitFrame, decode_bit, encode_bit, symbol_for_bit
+from .codec import BitBlock, decode_bit, encode_bit
 from .detection import JointMeasurement
 from .errors import DomainError
-from .quadrature import Quadrature, RngStream, SlotPair, SqueezeParam, sample_slots
+from .quadrature import (
+    FrameRows,
+    Quadrature,
+    RngStream,
+    SlotPair,
+    SqueezeParam,
+    sample_slots,
+)
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ class Tap:
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
         return ProbeEve(self.probe)
 
-    def probe(self, x, y, rng: RngStream):
+    def probe(self, x, y, rng: FrameRows):
         result = tap(x, y, self.tau, rng)
         return result.to_bob, result.eve[0]
 
@@ -91,7 +98,7 @@ class Qnd:
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
         return ProbeEve(self.probe)
 
-    def probe(self, x, y, rng: RngStream):
+    def probe(self, x, y, rng: FrameRows):
         result = qnd_measure(
             x, y, self.measured_quadrature, self.measurement_var, rng
         )
@@ -122,19 +129,21 @@ def swept_attack(attack: AttackSpec, name: str, value: float) -> AttackSpec:
 class Eavesdropper(Protocol):
     """Per-session state of an attack, returned by its spec's `begin`.
 
-    The session calls `substitute` on every outbound frame right before the
-    sender, `drop` for a frame the sender blocked, and `relay` on every
-    returned frame right after the sender; `rng` is that frame's attack
-    substream.
+    The session walks the frames in chunks.  Per chunk it calls
+    `substitute` on the outbound beams of all its frames right before the
+    sender, `drop` with the frames the sender blocked, and `relay` on the
+    returned beams of the other frames right after the sender.  `frames`
+    holds ascending frame indices, `x` and `y` one row of slots per frame,
+    and `rng` draws one row per frame from the frames' attack substreams.
     """
 
     record: EveRecord
 
-    def substitute(self, frame_index: int, x, y, n_slots: int) -> tuple: ...
+    def substitute(self, frames: np.ndarray, x, y) -> tuple: ...
 
-    def drop(self, frame_index: int) -> None: ...
+    def drop(self, frames: np.ndarray) -> None: ...
 
-    def relay(self, frame_index: int, x, y, rng: RngStream) -> tuple: ...
+    def relay(self, frames: np.ndarray, x, y, rng: FrameRows) -> tuple: ...
 
 
 @dataclass
@@ -152,13 +161,13 @@ class TapResult:
     eve: tuple
 
 
-def tap(x, y, tau: float, rng: RngStream) -> TapResult:
+def tap(x, y, tau: float, rng: RngStream | FrameRows) -> TapResult:
     """Beam-splitter tap: the forwarded beam keeps sqrt(1-tau) of the field,
     the eavesdropper port gets sqrt(tau), each with its vacuum counterpart."""
     tau = float(tau)
     if not (math.isfinite(tau) and 0.0 <= tau <= 1.0):
         raise DomainError(f"tap fraction must lie in [0, 1], got {tau!r}")
-    vx, vy = rng.generator().standard_normal((2, *np.shape(x)))
+    vx, vy = rng.standard_normal((2, *np.shape(x)))
     keep = math.sqrt(1.0 - tau)
     take = math.sqrt(tau)
     x_bob = keep * x + take * vx
@@ -185,7 +194,11 @@ class QndResult:
 
 
 def qnd_measure(
-    x, y, quadrature: Quadrature, measurement_var: float, rng: RngStream
+    x,
+    y,
+    quadrature: Quadrature,
+    measurement_var: float,
+    rng: RngStream | FrameRows,
 ) -> QndResult:
     """Probe one quadrature nondestructively.
 
@@ -194,7 +207,7 @@ def qnd_measure(
     beam gains independent noise of variance 1/measurement_var.
     """
     disturbance = back_action_var(measurement_var)
-    readout, kick = rng.generator().standard_normal((2, *np.shape(x)))
+    readout, kick = rng.standard_normal((2, *np.shape(x)))
     readout = math.sqrt(measurement_var) * readout
     kick = math.sqrt(disturbance) * kick
     if quadrature is Quadrature.X:
@@ -204,36 +217,34 @@ def qnd_measure(
 
 class ProbeEve:
     """Eavesdropper of an attack on the return leg only: she leaves the
-    outbound beam alone, and per returned frame forwards the beam her
-    `probe(x, y, rng) -> ((x, y), observation)` passes on and keeps the
-    observation."""
+    outbound beam alone, and per returned chunk forwards the beam her
+    `probe(x, y, rng) -> ((x, y), observation)` passes on and keeps each
+    frame's row of the observation."""
 
     def __init__(self, probe):
         self._probe = probe
         self.record = EveRecord()
 
-    def substitute(self, frame_index: int, x, y, n_slots: int):
+    def substitute(self, frames, x, y):
         return x, y
 
-    def drop(self, frame_index: int) -> None:
+    def drop(self, frames) -> None:
         pass
 
-    def relay(self, frame_index: int, x, y, rng: RngStream):
+    def relay(self, frames, x, y, rng: FrameRows):
         to_bob, seen = self._probe(x, y, rng)
-        self.record.observations[frame_index] = np.atleast_1d(
-            np.asarray(seen, dtype=float)
-        )
+        self.record.observations.update(zip(np.asarray(frames).tolist(), seen))
         return to_bob
 
 
 class InterceptResendEve:
     """Stateful intercept-resend attacker.
 
-    Per frame she stores the genuine beam, hands the sender one beam of a
-    fake correlated pair from her own source, decodes the sender's
-    modulation against the retained fake idler with an ideal (noiseless)
-    joint detector, then re-modulates her decoded bit onto the stored
-    genuine beam with the protocol's public signal amplitude.
+    Per chunk she holds the genuine beams, hands the sender one beam of a
+    fake correlated pair per frame from her own source, decodes the
+    sender's modulation against the retained fake idlers with an ideal
+    (noiseless) joint detector, then re-modulates her decoded bits onto the
+    held genuine beams with the protocol's public signal amplitude.
     """
 
     def __init__(
@@ -250,44 +261,56 @@ class InterceptResendEve:
         self._rng = rng
         # Her decode floor: ideal detection of her own pair.
         self._noise_var = 2.0 * math.exp(-2.0 * self.fake_r)
-        self._real: dict[int, tuple] = {}
-        self._fake_idler: dict[int, tuple] = {}
+        # The chunk she holds: its frames, which of them still await their
+        # return, the genuine beams and the fake idlers, one row per frame.
+        self._frames = np.empty(0, dtype=np.int64)
+        self._held = np.empty(0, dtype=bool)
+        self._real = self._fake_idler = None
         self.record = EveRecord()
 
-    def substitute(self, frame_index: int, real_x, real_y, n_slots: int):
-        """Store the genuine beam and return the fake beam sent to the sender."""
-        self._real[frame_index] = (real_x, real_y)
-        fake = sample_slots(self.fake_r, self._rng.substream(frame_index), n_slots)
-        self._fake_idler[frame_index] = (fake.x2, fake.y2)
+    def substitute(self, frames, real_x, real_y):
+        """Hold the genuine beams and return the fake beams sent to the sender."""
+        fake = sample_slots(self.fake_r, self._rng.rows(frames), np.shape(real_x))
+        self._frames = np.asarray(frames)
+        self._held = np.ones(self._frames.size, dtype=bool)
+        self._real = (real_x, real_y)
+        self._fake_idler = (fake.x2, fake.y2)
         return fake.x1, fake.y1
 
-    def drop(self, frame_index: int) -> None:
-        """Discard state for a frame that never came back (sender blocked it)."""
-        self._real.pop(frame_index, None)
-        self._fake_idler.pop(frame_index, None)
+    def _release(self, frames) -> np.ndarray:
+        """Rows of the held chunk for `frames`, no longer held afterwards."""
+        frames = np.asarray(frames)
+        rows = np.searchsorted(self._frames, frames)
+        found = rows < self._frames.size
+        found[found] = self._frames[rows[found]] == frames[found]
+        found[found] = self._held[rows[found]]
+        if not found.all():
+            raise KeyError(f"frame {frames[~found][0]} is not held")
+        self._held[rows] = False
+        return rows
 
-    def relay(self, frame_index: int, encoded_x, encoded_y, rng: RngStream):
-        """Decode the returned fake beam and forward the re-modulated real beam.
+    def drop(self, frames) -> None:
+        """Discard the frames that never came back (the sender blocked them)."""
+        self._release(frames)
 
-        Returns (x, y) of the beam sent on toward the receiver; the decoded
-        bit goes to `record.decoded_bits`.  `rng` is unused: her own source
+    def relay(self, frames, encoded_x, encoded_y, rng: FrameRows):
+        """Decode the returned fake beams and forward the re-modulated real beams.
+
+        Returns (x, y) of the beams sent on toward the receiver; the decoded
+        bits go to `record.decoded_bits`.  `rng` is unused: her own source
         draws from the stream she was created with.
         """
-        idler_x, idler_y = self._fake_idler.pop(frame_index)
-        real_x, real_y = self._real.pop(frame_index)
+        rows = self._release(frames)
         measurement = JointMeasurement(
-            d_plus=encoded_x + idler_x, d_minus=encoded_y - idler_y
+            d_plus=encoded_x + self._fake_idler[0][rows],
+            d_minus=encoded_y - self._fake_idler[1][rows],
         )
         decoded = decode_bit(measurement, self.amplitude, self._noise_var)
-        self.record.decoded_bits.append(decoded.bit)
-        self.record.observations[frame_index] = np.atleast_1d(
-            np.asarray(measurement.d_plus, dtype=float)
+        self.record.decoded_bits.extend(decoded.bit)
+        self.record.observations.update(
+            zip(np.asarray(frames).tolist(), measurement.d_plus)
         )
-        frame = BitFrame(
-            frame_index=frame_index,
-            bit=decoded.bit,
-            symbol=symbol_for_bit(decoded.bit, self.amplitude),
-            slot_count=int(np.size(real_x)),
-        )
-        out = encode_bit(frame, SlotPair(real_x, real_y, 0.0, 0.0), self.session_r)
+        real_x, real_y = self._real[0][rows], self._real[1][rows]
+        block = BitBlock(np.array(decoded.bit), self.amplitude, real_x.shape[-1])
+        out = encode_bit(block, SlotPair(real_x, real_y, 0.0, 0.0), self.session_r)
         return out.x1, out.y1

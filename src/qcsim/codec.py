@@ -61,6 +61,27 @@ class BitFrame:
         if (self.bit == 1) != (self.symbol.kind is Modulation.AM):
             raise DomainError("bit 1 must ride on AM, bit 0 on PM")
 
+    @property
+    def amplitude(self) -> float:
+        return self.symbol.amplitude
+
+
+@dataclass(frozen=True)
+class BitBlock:
+    """Key bits of a block of frames: row i of a (frames, slot_count) slot
+    block carries bits[i], every row at one signal amplitude."""
+
+    bits: np.ndarray
+    amplitude: float
+    slot_count: int
+
+    def __post_init__(self):
+        ModulationSymbol(Modulation.AM, self.amplitude)  # validates
+        if not np.isin(self.bits, (0, 1)).all():
+            raise DomainError("bits must be 0 or 1")
+        if self.slot_count < 1:
+            raise DomainError(f"slot_count must be >= 1, got {self.slot_count!r}")
+
 
 def symbol_for_bit(bit: int, amplitude: float) -> ModulationSymbol:
     if bit not in (0, 1):
@@ -88,14 +109,15 @@ def signal_amplitude_for(r: SqueezeParam, margin: float) -> float:
     return math.sqrt(power)
 
 
-def encode_bit(frame: BitFrame, slot: SlotPair, r: SqueezeParam) -> SlotPair:
-    """Displace the signal beam of `slot` by the frame's symbol.
+def encode_bit(frame: BitFrame | BitBlock, slot: SlotPair, r: SqueezeParam) -> SlotPair:
+    """Displace the signal beam of `slot` by the frame's symbol, or each row
+    of a (frames, slots) block by its own bit.
 
     The idler quadratures are returned untouched (the sender never holds
     them).  Refuses to encode a power outside the hiding window: such a
     signal would either be exposed in the single-beam noise or undecodable.
     """
-    s = frame.symbol.amplitude
+    s = frame.amplitude
     window = hiding_window(r)
     if not window.contains(s * s):
         raise SignalBudgetError(
@@ -103,11 +125,16 @@ def encode_bit(frame: BitFrame, slot: SlotPair, r: SqueezeParam) -> SlotPair:
             f"({window.lower:g}, {window.upper:g}) at r={r:g}"
         )
     shape = np.shape(slot.x1)
-    if shape and shape[0] != frame.slot_count:
+    if shape and shape[-1] != frame.slot_count:
         raise ValueError(
-            f"slot batch of length {shape[0]} does not match frame slot_count "
+            f"slot batch of length {shape[-1]} does not match frame slot_count "
             f"{frame.slot_count}"
         )
+    if isinstance(frame, BitBlock):
+        am = (np.asarray(frame.bits) == 1)[:, None]
+        x1 = np.where(am, slot.x1 + s, slot.x1)
+        y1 = np.where(am, slot.y1, slot.y1 + s)
+        return SlotPair(x1, y1, slot.x2, slot.y2)
     if frame.symbol.kind is Modulation.AM:
         return SlotPair(slot.x1 + s, slot.y1, slot.x2, slot.y2)
     return SlotPair(slot.x1, slot.y1 + s, slot.x2, slot.y2)
@@ -115,8 +142,11 @@ def encode_bit(frame: BitFrame, slot: SlotPair, r: SqueezeParam) -> SlotPair:
 
 @dataclass(frozen=True)
 class DecodedBit:
-    bit: int
-    confidence: float
+    """A frame's bit and confidence; lists of them, one entry per frame,
+    when decoded from a (frames, slots) block."""
+
+    bit: int | list[int]
+    confidence: float | list[float]
 
 
 def decode_bit(joint, amplitude: float, noise_var: float) -> DecodedBit:
@@ -126,6 +156,8 @@ def decode_bit(joint, amplitude: float, noise_var: float) -> DecodedBit:
     quadrature (amplitude -> 1, phase -> 0).  Confidence is the gap between
     the two magnitudes in units of the expected standard error of a block
     mean, sqrt(noise_var / M).  An exact tie decodes as 0 with confidence 0.
+    Block means run along the last axis, so a (frames, slots) block decodes
+    one bit per frame.
     """
     if not amplitude > 0.0:
         raise DomainError(f"amplitude must be > 0, got {amplitude!r}")
@@ -133,16 +165,15 @@ def decode_bit(joint, amplitude: float, noise_var: float) -> DecodedBit:
         raise DomainError(f"noise_var must be > 0, got {noise_var!r}")
     d_plus = np.atleast_1d(np.asarray(joint.d_plus, dtype=float))
     d_minus = np.atleast_1d(np.asarray(joint.d_minus, dtype=float))
-    if d_plus.size == 0:
+    if d_plus.shape[-1] == 0:
         raise ValueError("cannot decode an empty frame")
     if d_plus.shape != d_minus.shape:
         raise ValueError("d_plus and d_minus must have equal length")
-    m_plus = abs(float(np.mean(d_plus)))
-    m_minus = abs(float(np.mean(d_minus)))
-    if m_plus == m_minus:
-        return DecodedBit(bit=0, confidence=0.0)
-    sigma = math.sqrt(noise_var / d_plus.size)
+    m_plus = np.abs(np.mean(d_plus, axis=-1))
+    m_minus = np.abs(np.mean(d_minus, axis=-1))
+    sigma = math.sqrt(noise_var / d_plus.shape[-1])
+    # A tie gives bit 0 and a zero gap, hence confidence 0.
     return DecodedBit(
-        bit=1 if m_plus > m_minus else 0,
-        confidence=abs(m_plus - m_minus) / sigma,
+        bit=(m_plus > m_minus).astype(int).tolist(),
+        confidence=(np.abs(m_plus - m_minus) / sigma).tolist(),
     )

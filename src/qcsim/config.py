@@ -31,6 +31,25 @@ class SpectrumSettings:
     signal_freq_hz: float = 2.0e6
     signal_quadrature: Quadrature = Quadrature.X
 
+    def __post_init__(self):
+        lo, hi = self.span_low_hz, self.span_high_hz
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DomainError(
+                f"span must be a non-empty finite interval, got ({lo!r}, {hi!r})"
+            )
+        if not (math.isfinite(self.rbw_hz) and 0.0 < self.rbw_hz <= hi - lo):
+            raise DomainError(
+                f"rbw_hz must lie in (0, span], got {self.rbw_hz!r} "
+                f"for a span of {hi - lo:g} Hz"
+            )
+        if self.averages < 1:
+            raise DomainError(f"averages must be >= 1, got {self.averages!r}")
+        if not lo <= self.signal_freq_hz <= hi:
+            raise DomainError(
+                f"signal_freq_hz {self.signal_freq_hz!r} lies outside the span "
+                f"({lo:g}, {hi:g}) Hz"
+            )
+
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:

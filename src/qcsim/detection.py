@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import Quadrature, RngStream
+from .quadrature import FrameRows, Quadrature, RngStream
 
 #: Shot-noise limit of a joint two-beam measurement, in shot-noise units.
 TWO_BEAM_SNL = 2.0
@@ -49,7 +49,7 @@ class JointMeasurement:
     d_minus: float | np.ndarray  # y1' - y2 (+ electronic noise)
 
 
-def _bell_outputs(x1, y1, x2, y2, cfg: DetectorConfig, g: np.random.Generator):
+def _bell_outputs(x1, y1, x2, y2, cfg: DetectorConfig, g):
     d_plus = x1 + x2
     d_minus = y1 - y2
     if cfg.electronic_noise_var > 0.0:
@@ -60,7 +60,9 @@ def _bell_outputs(x1, y1, x2, y2, cfg: DetectorConfig, g: np.random.Generator):
     return JointMeasurement(d_plus=d_plus, d_minus=d_minus)
 
 
-def bell_measure(received, idler, cfg: DetectorConfig, rng: RngStream) -> JointMeasurement:
+def bell_measure(
+    received, idler, cfg: DetectorConfig, rng: RngStream | FrameRows
+) -> JointMeasurement:
     """Measure the amplitude sum and phase difference of two beams.
 
     `received` and `idler` are (x, y) pairs; each output channel gains
@@ -68,7 +70,7 @@ def bell_measure(received, idler, cfg: DetectorConfig, rng: RngStream) -> JointM
     """
     x1, y1 = received
     x2, y2 = idler
-    return _bell_outputs(x1, y1, x2, y2, cfg, rng.generator())
+    return _bell_outputs(x1, y1, x2, y2, cfg, rng)
 
 
 def snl_reference(n: int, cfg: DetectorConfig, rng: RngStream) -> float:
@@ -97,18 +99,23 @@ def snl_reference(n: int, cfg: DetectorConfig, rng: RngStream) -> float:
 class CorrelationDegree:
     """dB below the two-beam SNL; > 0 indicates quantum correlation."""
 
-    cd_db: float
+    cd_db: float | list[float]
 
 
 def correlation_degree(
     samples: JointMeasurement, channel: Quadrature = Quadrature.X
 ) -> CorrelationDegree:
-    """-10*log10(Var(d)/2) of the chosen joint output (X -> d_plus, Y -> d_minus)."""
+    """-10*log10(Var(d)/2) of the chosen joint output (X -> d_plus, Y -> d_minus).
+
+    The variance runs along the last axis: a (frames, slots) block gives a
+    list with one value per frame.
+    """
     d = np.asarray(samples.d_plus if channel is Quadrature.X else samples.d_minus)
-    if d.size < 2:
+    if d.ndim == 0 or d.shape[-1] < 2:
         raise ValueError("correlation degree needs at least two samples")
-    var = float(np.var(d, ddof=1))
-    return CorrelationDegree(cd_db=-10.0 * math.log10(var / TWO_BEAM_SNL))
+    var = np.var(d, axis=-1, ddof=1)
+    cd_db = [-10.0 * math.log10(v / TWO_BEAM_SNL) for v in np.ravel(var).tolist()]
+    return CorrelationDegree(cd_db=cd_db if var.ndim else cd_db[0])
 
 
 @dataclass(frozen=True)

@@ -54,11 +54,65 @@ class RngStream:
         )
         return np.random.Generator(np.random.Philox(key=key))
 
+    def standard_normal(self, shape) -> np.ndarray:
+        """One draw of standard normals of `shape` from a fresh generator."""
+        return self.generator().standard_normal(shape)
+
     def substream(self, index: int, phase: int = 0) -> "RngStream":
         """Child stream; distinct (phase, index) pairs never collide."""
         if index < 0 or phase < 0:
             raise DomainError("substream index and phase must be non-negative")
         return RngStream(self.seed, ((phase & _MASK32) << 32) | (index & _MASK32))
+
+    def rows(self, frames, phase: int = 0) -> "FrameRows":
+        """Child streams `substream(f, phase)` of every frame index f in
+        `frames`, drawn together as rows of one array."""
+        frames = np.asarray(frames, dtype=np.int64)
+        if phase < 0 or (frames.size and frames.min() < 0):
+            raise DomainError("substream index and phase must be non-negative")
+        ids = (np.uint64((phase & _MASK32) << 32)
+               | (frames.astype(np.uint64) & np.uint64(_MASK32)))
+        return FrameRows(self.seed & _MASK64, ids)
+
+
+class FrameRows:
+    """Substreams of one seed, one per frame of a batch, drawn row by row.
+
+    A draw of shape (k, frames, *rest) fills frame i's (k, *rest) block with
+    exactly what ``RngStream(seed, ids[i]).generator()`` would draw first,
+    so batching frames moves no sample.  The rows come from one Philox
+    bit generator per draw, rekeyed to (seed, ids[i]) with counter 0 before
+    each row; that skips the entropy pull of building a fresh generator.
+    """
+
+    def __init__(self, seed: int, ids: np.ndarray):
+        self.seed = seed
+        self.ids = ids
+
+    def standard_normal(self, shape) -> np.ndarray:
+        k, n_frames, *rest = shape
+        if n_frames != self.ids.size:
+            raise ValueError(
+                f"draw of {n_frames} frame rows from {self.ids.size} substreams"
+            )
+        # Frame-major, so that each frame's block is one contiguous fill.
+        out = np.empty((n_frames, k, *rest))
+        key = np.array([self.seed, 0], dtype=np.uint64)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        bit_generator = np.random.Philox(key=key)
+        draw = np.random.Generator(bit_generator).standard_normal
+        for row, substream_id in zip(out, self.ids):
+            key[1] = substream_id
+            bit_generator.state = state
+            draw(out=row)
+        return out.swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -153,22 +207,24 @@ def covariance_matrix(r: SqueezeParam) -> np.ndarray:
     )
 
 
-def sample_slots(r: SqueezeParam, rng: RngStream, n: int) -> SlotPair:
-    """Draw a batch of n slots from one substream in a single vectorized pass."""
-    n = int(n)
-    if n < 1:
+def sample_slots(r: SqueezeParam, rng: RngStream | FrameRows, n) -> SlotPair:
+    """Draw a batch of slots in a single vectorized pass: n slots from one
+    stream, or with `n` a (frames, slots) shape, one row per frame from
+    `FrameRows`."""
+    shape = tuple(int(s) for s in np.atleast_1d(n))
+    if min(shape) < 1:
         raise DomainError(f"slot count must be >= 1, got {n}")
-    u, v, w, z = rng.generator().standard_normal((4, n))
+    u, v, w, z = rng.standard_normal((4, *shape))
     return slot_from_normals(r, u, v, w, z)
 
 
-def apply_loss(x, y, eta: float, rng: RngStream):
+def apply_loss(x, y, eta: float, rng: RngStream | FrameRows):
     """Beam-splitter loss on one beam: keep sqrt(eta) of the field, admix
     sqrt(1-eta) of fresh vacuum on each quadrature independently."""
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta!r}")
-    vx, vy = rng.generator().standard_normal((2, *np.shape(x)))
+    vx, vy = rng.standard_normal((2, *np.shape(x)))
     t = math.sqrt(eta)
     f = math.sqrt(1.0 - eta)
     return t * x + f * vx, t * y + f * vy

@@ -6,30 +6,22 @@ attack hooks), is modulated with a predetermined key bit or blocked for
 trace recording, travels back (return hooks and loss), and is jointly
 measured against the retained idler.  Verification runs only after all
 frames complete, then the session is accepted or aborted.
+
+Frames are simulated in chunks, each stage once per chunk over
+(frames x slots) arrays.  Every frame draws from its own substreams, so
+the transcript is the same as that of a frame-at-a-time run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adversary import AttackSpec, Eavesdropper, EveRecord, NoAttack
-from .codec import (
-    BitFrame,
-    DecodedBit,
-    decode_bit,
-    encode_bit,
-    signal_amplitude_for,
-    symbol_for_bit,
-)
-from .detection import (
-    DetectorConfig,
-    JointMeasurement,
-    bell_measure,
-    correlation_degree,
-)
+from .codec import BitBlock, decode_bit, encode_bit, signal_amplitude_for
+from .detection import DetectorConfig, bell_measure, correlation_degree
 from .errors import ConfigError
 from .quadrature import (
     Quadrature,
@@ -43,7 +35,9 @@ from .verification import (
     BlockSchedule,
     BlockTraces,
     CdSummary,
+    FluctuationTrace,
     Thresholds,
+    TraceOwner,
     TraceStats,
     Verdict,
     VerdictStatus,
@@ -132,22 +126,6 @@ class KeyComparison:
     mismatches: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FrameOutcome:
-    """Everything one simulated frame produced; kept mostly for tests and
-    trace recording, summarized into the transcript."""
-
-    frame_index: int
-    blocked: bool
-    idler_x: np.ndarray
-    idler_y: np.ndarray
-    sender_beam_x: np.ndarray
-    measurement: JointMeasurement | None
-    decoded: DecodedBit | None
-    sent_bit: int | None
-    traces: BlockTraces | None
-
-
 @dataclass
 class SessionTranscript:
     config: SessionConfig
@@ -166,21 +144,27 @@ class SessionTranscript:
     eve: EveRecord | None = None
 
 
-def _pooled_residual_cd(frame_outputs: list[np.ndarray]) -> float | None:
-    """Correlation degree of the noise floor pooled over frames.
+def _pooled_residual_cd(residual_ss: list[float], slots_per_frame: int) -> float | None:
+    """Correlation degree of the noise floor pooled over frames, from each
+    frame's sum of squared residuals about its block mean.
 
-    Each frame's block mean (the modulation displacement) is subtracted
-    before pooling, so the estimate reflects the fluctuation variance only;
-    degrees of freedom drop by one per frame.
+    Subtracting the block mean (the modulation displacement) leaves the
+    fluctuation variance only; degrees of freedom drop by one per frame.
     """
-    if not frame_outputs:
+    if not residual_ss:
         return None
-    n = sum(a.size for a in frame_outputs)
-    k = len(frame_outputs)
+    k = len(residual_ss)
+    n = k * slots_per_frame
     if n - k < 1:
         return None
-    ss = sum(float(np.sum((a - a.mean()) ** 2)) for a in frame_outputs)
+    # A sequential sum over frames, in frame order.
+    ss = sum(residual_ss)
     return -10.0 * math.log10(ss / (n - k) / 2.0)
+
+
+def _residual_ss(d: np.ndarray) -> list[float]:
+    """Per row of `d`, the sum of squared residuals about the row mean."""
+    return np.sum((d - d.mean(axis=-1, keepdims=True)) ** 2, axis=-1).tolist()
 
 
 def compare_keys(sent: str, decoded: str) -> KeyComparison:
@@ -207,84 +191,125 @@ def finalize(session_verdict: Verdict, decoded_bits: str) -> SessionOutcome:
     return SessionOutcome(accepted=True, key=decoded_bits, reason=None)
 
 
+#: Most slots one chunk of frames holds; a frame longer than this is a
+#: chunk of its own.  Keeps each chunk's arrays near cache size: one pass
+#: over all frames of a long session was slower than walking it in chunks.
+_CHUNK_SLOTS = 1 << 16
+
+
+@dataclass
+class _Tally:
+    """What the chunks of a session produced, per frame in frame order."""
+
+    decoded_bits: list[int] = field(default_factory=list)
+    confidences: list[float] = field(default_factory=list)
+    frame_cd: list[FrameCd] = field(default_factory=list)
+    residual_ss_plus: list[float] = field(default_factory=list)
+    residual_ss_minus: list[float] = field(default_factory=list)
+    traces: list[BlockTraces] = field(default_factory=list)
+    trace_stats: list[TraceStats] = field(default_factory=list)
+
+
 def simulate_frame(
     cfg: SessionConfig,
-    frame_index: int,
+    frames: np.ndarray,
     schedule: BlockSchedule,
-    bit: int | None,
+    bits: np.ndarray,
     amplitude: float,
     noise_var: float,
     root: RngStream,
     eve: Eavesdropper | None,
-) -> FrameOutcome:
-    """Simulate one frame end to end.  `bit` is None for blocked frames."""
-    m = cfg.slots_per_frame
-    blocked = schedule.is_blocked(frame_index)
-    slots = sample_slots(cfg.r, root.substream(frame_index, _PHASE_EPR), m)
+    tally: _Tally,
+) -> None:
+    """Simulate a chunk of frames end to end, each quantity one row per frame.
+
+    `frames` holds ascending frame indices and `bits` their key bits (any
+    value for blocked frames).  Row f of every random draw comes from frame
+    f's own substream, so the results equal those of simulating the frames
+    one at a time.  The per-frame results are appended to `tally`.
+    """
+    blocked = np.isin(frames, list(schedule.blocked))
+    slots = sample_slots(
+        cfg.r, root.rows(frames, _PHASE_EPR), (frames.size, cfg.slots_per_frame)
+    )
     idler_x, idler_y = slots.x2, slots.y2
 
     # Outbound leg: channel loss, then interception right before the sender.
     sig_x, sig_y = apply_loss(
-        slots.x1, slots.y1, cfg.eta_out, root.substream(frame_index, _PHASE_LOSS_OUT)
+        slots.x1, slots.y1, cfg.eta_out, root.rows(frames, _PHASE_LOSS_OUT)
     )
     if eve is not None:
-        sig_x, sig_y = eve.substitute(frame_index, sig_x, sig_y, m)
-    sender_beam_x = sig_x
+        sig_x, sig_y = eve.substitute(frames, sig_x, sig_y)
 
-    if blocked:
+    if blocked.any():
+        held = frames[blocked]
         traces = record_block_traces(
             schedule,
-            frame_index,
-            sender_beam_x,
-            idler_x,
+            held,
+            sig_x[blocked],
+            idler_x[blocked],
             cfg.detector,
-            root.substream(frame_index, _PHASE_SCOPES),
+            root.rows(held, _PHASE_SCOPES),
         )
+        stats = trace_stats(traces.alice, traces.bob)
+        for f, a, b, *row in zip(
+            held.tolist(),
+            traces.alice.samples,
+            traces.bob.samples,
+            stats.pearson,
+            stats.rms_sum,
+            stats.rms_diff,
+        ):
+            tally.traces.append(
+                BlockTraces(
+                    alice=FluctuationTrace(TraceOwner.ALICE, f, a),
+                    bob=FluctuationTrace(TraceOwner.BOB, f, b),
+                )
+            )
+            tally.trace_stats.append(TraceStats(*row))
         if eve is not None:
-            eve.drop(frame_index)
-        return FrameOutcome(
-            frame_index=frame_index,
-            blocked=True,
-            idler_x=idler_x,
-            idler_y=idler_y,
-            sender_beam_x=sender_beam_x,
-            measurement=None,
-            decoded=None,
-            sent_bit=None,
-            traces=traces,
-        )
+            eve.drop(held)
 
-    frame = BitFrame(frame_index, bit, symbol_for_bit(bit, amplitude), m)
-    encoded = encode_bit(frame, SlotPair(sig_x, sig_y, idler_x, idler_y), cfg.r)
+    sent = ~blocked
+    if not sent.any():
+        return
+    sent_frames = frames[sent]
+    idler_x, idler_y = idler_x[sent], idler_y[sent]
+    encoded = encode_bit(
+        BitBlock(bits[sent], amplitude, cfg.slots_per_frame),
+        SlotPair(sig_x[sent], sig_y[sent], idler_x, idler_y),
+        cfg.r,
+    )
     sig_x, sig_y = encoded.x1, encoded.y1
 
     # Return leg: attacker hooks near the sender's output, then channel loss.
     if eve is not None:
         sig_x, sig_y = eve.relay(
-            frame_index, sig_x, sig_y, root.substream(frame_index, _PHASE_ATTACK)
+            sent_frames, sig_x, sig_y, root.rows(sent_frames, _PHASE_ATTACK)
         )
     sig_x, sig_y = apply_loss(
-        sig_x, sig_y, cfg.eta_back, root.substream(frame_index, _PHASE_LOSS_BACK)
+        sig_x, sig_y, cfg.eta_back, root.rows(sent_frames, _PHASE_LOSS_BACK)
     )
 
     measurement = bell_measure(
         (sig_x, sig_y),
         (idler_x, idler_y),
         cfg.detector,
-        root.substream(frame_index, _PHASE_DETECTOR),
+        root.rows(sent_frames, _PHASE_DETECTOR),
     )
     decoded = decode_bit(measurement, amplitude, noise_var)
-    return FrameOutcome(
-        frame_index=frame_index,
-        blocked=False,
-        idler_x=idler_x,
-        idler_y=idler_y,
-        sender_beam_x=sender_beam_x,
-        measurement=measurement,
-        decoded=decoded,
-        sent_bit=bit,
-        traces=None,
+    tally.decoded_bits.extend(decoded.bit)
+    tally.confidences.extend(decoded.confidence)
+    tally.frame_cd.extend(
+        map(
+            FrameCd,
+            sent_frames.tolist(),
+            correlation_degree(measurement, Quadrature.X).cd_db,
+            correlation_degree(measurement, Quadrature.Y).cd_db,
+        )
     )
+    tally.residual_ss_plus.extend(_residual_ss(measurement.d_plus))
+    tally.residual_ss_minus.extend(_residual_ss(measurement.d_minus))
 
 
 def run_session(cfg: SessionConfig) -> SessionTranscript:
@@ -305,34 +330,24 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
 
     eve = cfg.attack.begin(amplitude, cfg.r, RngStream(cfg.seed ^ _EVE_SEED_SALT))
 
-    outcomes: list[FrameOutcome] = []
-    key_pos = 0
-    for f in range(cfg.frames):
-        bit = None
-        if not schedule.is_blocked(f):
-            bit = int(cfg.key_bits[key_pos % len(cfg.key_bits)])
-            key_pos += 1
-        outcomes.append(
-            simulate_frame(cfg, f, schedule, bit, amplitude, noise_var, root, eve)
-        )
+    # Key bits cycle over the unblocked frames.
+    sent = np.ones(cfg.frames, dtype=bool)
+    sent[list(schedule.blocked)] = False
+    key = np.array([int(b) for b in cfg.key_bits])
+    bits = np.zeros(cfg.frames, dtype=int)
+    bits[sent] = key[np.arange(np.count_nonzero(sent)) % key.size]
 
-    unblocked = [o for o in outcomes if not o.blocked]
-    sent_bits = "".join(str(o.sent_bit) for o in unblocked)
-    decoded_bits = "".join(str(o.decoded.bit) for o in unblocked)
-    confidences = tuple(o.decoded.confidence for o in unblocked)
-
-    frame_cd = tuple(
-        FrameCd(
-            o.frame_index,
-            correlation_degree(o.measurement, Quadrature.X).cd_db,
-            correlation_degree(o.measurement, Quadrature.Y).cd_db,
+    tally = _Tally()
+    chunk = max(1, _CHUNK_SLOTS // cfg.slots_per_frame)
+    for start in range(0, cfg.frames, chunk):
+        frames = np.arange(start, min(start + chunk, cfg.frames))
+        simulate_frame(
+            cfg, frames, schedule, bits[frames], amplitude, noise_var, root, eve, tally
         )
-        for o in unblocked
-    )
 
     cd_summary = None
-    plus_db = _pooled_residual_cd([np.atleast_1d(o.measurement.d_plus) for o in unblocked])
-    minus_db = _pooled_residual_cd([np.atleast_1d(o.measurement.d_minus) for o in unblocked])
+    plus_db = _pooled_residual_cd(tally.residual_ss_plus, cfg.slots_per_frame)
+    minus_db = _pooled_residual_cd(tally.residual_ss_minus, cfg.slots_per_frame)
     if plus_db is not None and minus_db is not None:
         cd_summary = CdSummary(
             measured_plus_db=plus_db,
@@ -340,10 +355,9 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
             expected_db=-10.0 * math.log10(noise_var / 2.0),
         )
 
-    blocked_outcomes = [o for o in outcomes if o.blocked]
-    traces = tuple(o.traces for o in blocked_outcomes)
-    stats = tuple(trace_stats(t.alice, t.bob) for t in traces)
-
+    sent_bits = "".join(map(str, bits[sent].tolist()))
+    decoded_bits = "".join(map(str, tally.decoded_bits))
+    stats = tuple(tally.trace_stats)
     session_verdict = verdict(list(stats), cd_summary, cfg.thresholds.resolve(cfg.r))
     outcome = finalize(session_verdict, decoded_bits)
 
@@ -353,11 +367,11 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
         schedule=schedule,
         sent_bits=sent_bits,
         decoded_bits=decoded_bits,
-        confidences=confidences,
+        confidences=tuple(tally.confidences),
         blocked_frames=tuple(sorted(schedule.blocked)),
-        traces=traces,
+        traces=tuple(tally.traces),
         trace_stats=stats,
-        frame_cd=frame_cd,
+        frame_cd=tuple(tally.frame_cd),
         cd=cd_summary,
         verdict=session_verdict,
         outcome=outcome,

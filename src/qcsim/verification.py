@@ -17,7 +17,7 @@ import numpy as np
 
 from .detection import DetectorConfig
 from .errors import DomainError, ProtocolOrderError
-from .quadrature import RngStream, SqueezeParam, _check_r
+from .quadrature import FrameRows, RngStream, SqueezeParam, _check_r
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,11 @@ class TraceOwner(Enum):
 
 @dataclass(frozen=True)
 class FluctuationTrace:
+    """One party's trace of a blocked frame; of several frames at once when
+    `frame_index` is an array and `samples` has one row per frame."""
+
     owner: TraceOwner
-    frame_index: int
+    frame_index: int | np.ndarray
     samples: np.ndarray
 
 
@@ -70,33 +73,35 @@ class BlockTraces:
 
 def record_block_traces(
     schedule: BlockSchedule,
-    frame_index: int,
+    frame_index,
     sender_beam_x,
     idler_x,
     cfg: DetectorConfig,
-    rng: RngStream,
+    rng: RngStream | FrameRows,
 ) -> BlockTraces:
-    """Record both parties' oscilloscope traces for one blocked frame.
+    """Record both parties' oscilloscope traces for one blocked frame, or
+    for an array of blocked frames given one row of samples each.
 
     The sender sees the amplitude quadrature of whatever beam reached her;
     the receiver's signal port is dark, so his trace is the retained idler's
     amplitude quadrature.  Each trace gains the recording detector's
     electronic noise.
     """
-    if not schedule.is_blocked(frame_index):
+    unblocked = set(np.atleast_1d(frame_index).tolist()) - schedule.blocked
+    if unblocked:
         raise ProtocolOrderError(
-            f"frame {frame_index} is not blocked; traces are recorded only "
+            f"frame {min(unblocked)} is not blocked; traces are recorded only "
             f"while the beam is interrupted"
         )
     a = np.atleast_1d(np.asarray(sender_beam_x, dtype=float))
     b = np.atleast_1d(np.asarray(idler_x, dtype=float))
     if a.shape != b.shape:
         raise ValueError("sender and receiver traces must have equal length")
-    g = rng.generator()
     if cfg.electronic_noise_var > 0.0:
         scale = math.sqrt(cfg.electronic_noise_var)
-        a = a + scale * g.standard_normal(a.shape)
-        b = b + scale * g.standard_normal(b.shape)
+        noise_a, noise_b = rng.standard_normal((2, *a.shape))
+        a = a + scale * noise_a
+        b = b + scale * noise_b
     return BlockTraces(
         alice=FluctuationTrace(TraceOwner.ALICE, frame_index, a),
         bob=FluctuationTrace(TraceOwner.BOB, frame_index, b),
@@ -105,13 +110,17 @@ def record_block_traces(
 
 @dataclass(frozen=True)
 class TraceStats:
-    pearson: float
-    rms_sum: float
-    rms_diff: float
+    """Statistics of one frame's traces; lists, one entry per frame, for
+    traces of several frames."""
+
+    pearson: float | list[float]
+    rms_sum: float | list[float]
+    rms_diff: float | list[float]
 
 
 def trace_stats(alice: FluctuationTrace, bob: FluctuationTrace) -> TraceStats:
-    """Sample correlation and rms of the sum/difference of two aligned traces."""
+    """Sample correlation and rms of the sum/difference of two aligned
+    traces, along the last axis of their samples."""
     a = np.asarray(alice.samples, dtype=float)
     b = np.asarray(bob.samples, dtype=float)
     if a.shape != b.shape:
@@ -119,18 +128,20 @@ def trace_stats(alice: FluctuationTrace, bob: FluctuationTrace) -> TraceStats:
             f"trace length mismatch: {a.shape} vs {b.shape} "
             f"(frames {alice.frame_index} and {bob.frame_index})"
         )
-    if a.size < 2:
+    if a.ndim == 0 or a.shape[-1] < 2:
         raise ValueError("traces need at least two points")
-    sa = float(np.std(a))
-    sb = float(np.std(b))
-    if sa == 0.0 or sb == 0.0:
-        pearson = 0.0
-    else:
-        pearson = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    sa = np.std(a, axis=-1)
+    sb = np.std(b, axis=-1)
+    covariance = np.mean(
+        (a - a.mean(axis=-1, keepdims=True)) * (b - b.mean(axis=-1, keepdims=True)),
+        axis=-1,
+    )
+    flat = (sa == 0.0) | (sb == 0.0)
+    pearson = np.divide(covariance, sa * sb, out=np.zeros_like(sa), where=~flat)
     return TraceStats(
-        pearson=pearson,
-        rms_sum=float(np.sqrt(np.mean((a + b) ** 2))),
-        rms_diff=float(np.sqrt(np.mean((a - b) ** 2))),
+        pearson=pearson.tolist(),
+        rms_sum=np.sqrt(np.mean((a + b) ** 2, axis=-1)).tolist(),
+        rms_diff=np.sqrt(np.mean((a - b) ** 2, axis=-1)).tolist(),
     )
 
 

@@ -149,15 +149,16 @@ def _run_intercept_chain(fake_r, session_r, bits, m, seed):
     bob_bits = []
     for i, bit in enumerate(bits):
         slots = sample_slots(session_r, root.substream(i), m)
-        fake_x, fake_y = eve.substitute(i, slots.x1, slots.y1, m)
+        frame = np.array([i])
+        fake_x, fake_y = eve.substitute(frame, slots.x1[None], slots.y1[None])
         # The sender modulates the fake beam exactly as she would the real one.
         if bit == 1:
             fake_x = fake_x + amplitude
         else:
             fake_y = fake_y + amplitude
-        to_bob_x, to_bob_y = eve.relay(i, fake_x, fake_y, root.substream(i, 2))
+        to_bob_x, to_bob_y = eve.relay(frame, fake_x, fake_y, root.rows(frame, 2))
         joint = bell_measure(
-            (to_bob_x, to_bob_y),
+            (to_bob_x[0], to_bob_y[0]),
             (slots.x2, slots.y2),
             NOISELESS,
             root.substream(i, 1),
@@ -193,8 +194,8 @@ def test_intercept_fake_beam_is_independent_of_idler():
     slots = sample_slots(0.4375, RngStream(50).substream(0), n)
     amplitude = signal_amplitude_for(0.4375, 0.5)
     eve = InterceptResendEve(1.0, amplitude, 0.4375, RngStream(51))
-    fake_x, _ = eve.substitute(0, slots.x1, slots.y1, n)
-    assert abs(np.corrcoef(fake_x, slots.x2)[0, 1]) < 0.05
+    fake_x, _ = eve.substitute(np.array([0]), slots.x1[None], slots.y1[None])
+    assert abs(np.corrcoef(fake_x[0], slots.x2)[0, 1]) < 0.05
     # The genuine beam, by contrast, is strongly anticorrelated.
     assert np.corrcoef(slots.x1, slots.x2)[0, 1] < -0.5
 
@@ -203,10 +204,11 @@ def test_intercept_eve_drop_discards_frame_state():
     slots = sample_slots(0.4375, RngStream(52).substream(0), 16)
     amplitude = signal_amplitude_for(0.4375, 0.5)
     eve = InterceptResendEve(1.0, amplitude, 0.4375, RngStream(53))
-    eve.substitute(0, slots.x1, slots.y1, 16)
-    eve.drop(0)
+    frame = np.array([0])
+    eve.substitute(frame, slots.x1[None], slots.y1[None])
+    eve.drop(frame)
     with pytest.raises(KeyError):
-        eve.relay(0, slots.x1, slots.y1, RngStream(54))
+        eve.relay(frame, slots.x1[None], slots.y1[None], RngStream(54).rows(frame))
 
 
 @pytest.mark.parametrize("bad_tau", [-0.01, 1.01, float("nan")])

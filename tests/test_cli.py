@@ -196,6 +196,38 @@ def test_run_with_invalid_spectrum_settings_writes_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spectrum_flag", [[], ["--spectrum"]], ids=["no-spectrum", "spectrum"]
+)
+@pytest.mark.parametrize(
+    "section",
+    [
+        "averages = -3",
+        "averages = 0",
+        "rbw_hz = 0",
+        "rbw_hz = 3e6",
+        "span_low_hz = 3e6\nspan_high_hz = 1e6",
+        "signal_freq_hz = 5e6",
+    ],
+    ids=[
+        "negative-averages",
+        "zero-averages",
+        "zero-rbw",
+        "rbw-above-span",
+        "reversed-span",
+        "signal-outside-span",
+    ],
+)
+def test_run_rejects_invalid_spectrum_section(tmp_path, capsys, section, spectrum_flag):
+    # The [spectrum] section is checked on load, whether or not the run
+    # computes a spectrum.
+    config = _write(tmp_path, "session.ini", f"{BLOCKING_CONFIG}[spectrum]\n{section}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out), *spectrum_flag]) == 1
+    assert "[spectrum]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_round_trips(tmp_path):
     config = _write(tmp_path, "session.ini", BLOCKING_CONFIG)
     out = tmp_path / "out"

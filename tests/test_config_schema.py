@@ -51,12 +51,15 @@ SCHEMA = {
         "rms_ratio": (st.none() | FINITE, None),
         "cd_margin_db": (FINITE, 0.5),
     },
+    # Each key's domain keeps every mix with the other keys' defaults a
+    # valid span: low <= 1 MHz < 3 MHz <= high, a resolution bandwidth
+    # within the narrowest such span and a signal inside it.
     "spectrum": {
-        "span_low_hz": (FINITE, 1.0e6),
-        "span_high_hz": (FINITE, 3.0e6),
-        "rbw_hz": (FINITE, 30.0e3),
-        "averages": (st.integers(-(10**9), 10**9), 100),
-        "signal_freq_hz": (FINITE, 2.0e6),
+        "span_low_hz": (st.floats(-1e9, 1.0e6), 1.0e6),
+        "span_high_hz": (st.floats(3.0e6, 1e9), 3.0e6),
+        "rbw_hz": (st.floats(0.0, 2.0e6, exclude_min=True), 30.0e3),
+        "averages": (st.integers(1, 10**9), 100),
+        "signal_freq_hz": (st.floats(1.0e6, 3.0e6), 2.0e6),
         "signal_quadrature": (QUADRATURES, Quadrature.X),
     },
 }

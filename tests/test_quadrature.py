@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcsim import (
     DomainError,
@@ -221,3 +223,44 @@ def test_expected_sum_variance_limits():
     )
     with pytest.raises(DomainError):
         expected_sum_variance(0.4375, 1.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    phase=st.integers(min_value=0, max_value=2**33),
+    frames=st.lists(st.integers(min_value=0, max_value=2**33), min_size=1, max_size=5),
+    k=st.integers(min_value=1, max_value=4),
+    rest=st.lists(st.integers(min_value=0, max_value=9), max_size=2),
+)
+def test_frame_rows_draw_what_each_substream_draws(seed, phase, frames, k, rest):
+    # Seeds outside [0, 2**64) and indices or phases past 32 bits are
+    # masked by RngStream; the batched rows must mask them the same way.
+    root = RngStream(seed)
+    drawn = root.rows(frames, phase).standard_normal((k, len(frames), *rest))
+    assert drawn.shape == (k, len(frames), *rest)
+    for i, f in enumerate(frames):
+        stream = root.substream(f, phase)
+        expected = RngStream(seed, stream.substream_id).generator().standard_normal(
+            (k, *rest)
+        )
+        assert np.array_equal(drawn[:, i], expected)
+
+
+def test_frame_rows_reject_negative_indices_and_mismatched_draws():
+    with pytest.raises(DomainError):
+        RngStream(1).rows([0, -1], 2)
+    with pytest.raises(DomainError):
+        RngStream(1).rows([0], -1)
+    with pytest.raises(ValueError):
+        RngStream(1).rows([0, 1], 2).standard_normal((2, 3, 8))
+
+
+def test_sample_slots_over_frame_rows_equals_per_frame_draws():
+    root = RngStream(31)
+    frames = np.array([0, 4, 5])
+    batch = sample_slots(0.4375, root.rows(frames, 2), (frames.size, 16))
+    for row, f in enumerate(frames.tolist()):
+        single = sample_slots(0.4375, root.substream(f, 2), 16)
+        for name in ("x1", "y1", "x2", "y2"):
+            assert np.array_equal(getattr(batch, name)[row], getattr(single, name))

@@ -85,34 +85,41 @@ def test_transcripts_are_deterministic():
     "attack",
     [NoAttack(), Tap(tau=0.4), InterceptResend(fake_r=1.0), Qnd(Quadrature.X, 1.0)],
 )
-def test_idler_is_never_transformed(attack):
+def test_idler_is_never_transformed(attack, monkeypatch):
     # The receiver's retained samples must be exactly the generated idler,
-    # regardless of what happens to the signal beam.
+    # regardless of what happens to the signal beam: the idler reaches his
+    # joint measurement (unblocked frames) and his scope (blocked frames)
+    # untouched.
     cfg = _config(frames=4, slots_per_frame=32, block_prob=0.25, attack=attack, seed=13)
-    from qcsim.session import (
-        _EVE_SEED_SALT,
-        simulate_frame,
-    )
-    from qcsim import signal_amplitude_for
-    from qcsim.quadrature import expected_sum_variance
-    from qcsim.verification import schedule_blocks
-    from qcsim.session import _PHASE_BLOCKS
+    import qcsim.session as session
 
-    amplitude = signal_amplitude_for(cfg.r, cfg.margin)
-    noise_var = expected_sum_variance(
-        cfg.r, cfg.eta_out * cfg.eta_back, cfg.detector.electronic_noise_var
-    )
+    held = {}
+
+    def measure(received, idler, detector, rng):
+        held["measured"] = idler
+        return bell_measure(received, idler, detector, rng)
+
+    def record(schedule, frames, sender_beam_x, idler_x, detector, rng):
+        held["blocked"] = (frames, idler_x)
+        return record_block_traces(schedule, frames, sender_beam_x, idler_x, detector, rng)
+
+    bell_measure = session.bell_measure
+    record_block_traces = session.record_block_traces
+    monkeypatch.setattr(session, "bell_measure", measure)
+    monkeypatch.setattr(session, "record_block_traces", record)
+    transcript = run_session(cfg)
+
     root = RngStream(cfg.seed)
-    schedule = schedule_blocks(cfg.frames, cfg.block_prob, root.substream(0, _PHASE_BLOCKS))
-    eve = attack.begin(amplitude, cfg.r, RngStream(cfg.seed ^ _EVE_SEED_SALT))
-    for f in range(cfg.frames):
-        bit = None if schedule.is_blocked(f) else 1
-        outcome = simulate_frame(
-            cfg, f, schedule, bit, amplitude, noise_var, root, eve
-        )
+    blocked_frames, blocked_idler_x = held.get("blocked", (np.empty(0, int), ()))
+    assert blocked_frames.tolist() == list(transcript.blocked_frames)
+    for f, idler_x in zip(blocked_frames, blocked_idler_x, strict=True):
         regenerated = sample_slots(cfg.r, root.substream(f, _PHASE_EPR), cfg.slots_per_frame)
-        assert np.array_equal(outcome.idler_x, regenerated.x2)
-        assert np.array_equal(outcome.idler_y, regenerated.y2)
+        assert np.array_equal(idler_x, regenerated.x2)
+    sent = [f for f in range(cfg.frames) if f not in transcript.blocked_frames]
+    for f, idler_x, idler_y in zip(sent, *held["measured"], strict=True):
+        regenerated = sample_slots(cfg.r, root.substream(f, _PHASE_EPR), cfg.slots_per_frame)
+        assert np.array_equal(idler_x, regenerated.x2)
+        assert np.array_equal(idler_y, regenerated.y2)
 
 
 def test_key_bits_cycle_over_unblocked_frames():

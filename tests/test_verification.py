@@ -116,9 +116,9 @@ def test_substituted_beam_shows_no_anticorrelation():
     eve = InterceptResendEve(
         1.0, signal_amplitude_for(0.4375, 0.5), 0.4375, RngStream(69)
     )
-    fake_x, _ = eve.substitute(0, slots.x1, slots.y1, n)
+    fake_x, _ = eve.substitute(np.array([0]), slots.x1[None], slots.y1[None])
     traces = record_block_traces(
-        _blocked_schedule(0), 0, fake_x, slots.x2, NOISELESS, RngStream(68).substream(1)
+        _blocked_schedule(0), 0, fake_x[0], slots.x2, NOISELESS, RngStream(68).substream(1)
     )
     stats = trace_stats(traces.alice, traces.bob)
     assert abs(stats.pearson) < 0.05
