@@ -12,6 +12,7 @@ are no time-domain cavity dynamics.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +49,11 @@ class RngStream:
     seed: int
     substream_id: int = 0
 
+    def __post_init__(self):
+        # NumPy integers become Python ints, which the 64-bit masks need.
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "substream_id", operator.index(self.substream_id))
+
     def generator(self) -> np.random.Generator:
         key = np.array(
             [self.seed & _MASK64, self.substream_id & _MASK64], dtype=np.uint64
@@ -60,6 +66,7 @@ class RngStream:
 
     def substream(self, index: int, phase: int = 0) -> "RngStream":
         """Child stream; distinct (phase, index) pairs never collide."""
+        index, phase = operator.index(index), operator.index(phase)
         if index < 0 or phase < 0:
             raise DomainError("substream index and phase must be non-negative")
         return RngStream(self.seed, ((phase & _MASK32) << 32) | (index & _MASK32))
@@ -68,6 +75,7 @@ class RngStream:
         """Child streams `substream(f, phase)` of every frame index f in
         `frames`, drawn together as rows of one array."""
         frames = np.asarray(frames, dtype=np.int64)
+        phase = operator.index(phase)
         if phase < 0 or (frames.size and frames.min() < 0):
             raise DomainError("substream index and phase must be non-negative")
         ids = (np.uint64((phase & _MASK32) << 32)
@@ -220,10 +228,16 @@ def sample_slots(r: SqueezeParam, rng: RngStream | FrameRows, n) -> SlotPair:
 
 def apply_loss(x, y, eta: float, rng: RngStream | FrameRows):
     """Beam-splitter loss on one beam: keep sqrt(eta) of the field, admix
-    sqrt(1-eta) of fresh vacuum on each quadrature independently."""
+    sqrt(1-eta) of fresh vacuum on each quadrature independently.
+
+    A lossless leg (eta = 1) returns `x` and `y` themselves and draws
+    nothing: 1 * x + 0 * vacuum is x for every nonzero x.
+    """
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta!r}")
+    if eta == 1.0:
+        return x, y
     vx, vy = rng.standard_normal((2, *np.shape(x)))
     t = math.sqrt(eta)
     f = math.sqrt(1.0 - eta)

@@ -31,21 +31,22 @@ def test_every_traced_name_resolves(wrap):
         assert wrap.attr in vars(getattr(module, wrap.owner))
 
 
-def test_one_attack_cycle_of_small_frames_reaches_every_span(tmp_path):
-    w = dataclasses.replace(
-        workloads.WORKLOADS["small_frames"], frames=24, slots_per_frame=64
-    )
+@pytest.mark.parametrize("name", ["small_frames", "cli_run"])
+def test_one_attack_cycle_reaches_every_span(tmp_path, name):
+    w = dataclasses.replace(workloads.WORKLOADS[name], **selftest.TINY[name])
     w.setup(tmp_path)
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         for seed in range(len(workloads.attacks())):
+            args = w.prepare(seed)
             tracer.begin_op()
-            w.call(w.prepare(seed))
+            w.call(args)
             tracer.end_op()
+            w.cleanup(args)
     counts = tracer.per_op_counts()
     missed = [
         span
-        for span in selftest.REACHED["small_frames"]
+        for span in selftest.REACHED[name]
         if not sum(c[f"{span}.calls"] for c in counts)
     ]
     assert not missed

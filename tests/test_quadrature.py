@@ -142,11 +142,21 @@ def test_sample_slots_rejects_bad_count():
         sample_slots(0.5, RngStream(1), 0)
 
 
+class _NoDraws:
+    def standard_normal(self, shape):
+        raise AssertionError("a lossless leg drew vacuum")
+
+
 def test_apply_loss_identity():
     slots = sample_slots(0.4375, RngStream(8).substream(0), 1000)
     x, y = apply_loss(slots.x1, slots.y1, 1.0, RngStream(8).substream(1))
     assert np.array_equal(x, slots.x1)
     assert np.array_equal(y, slots.y1)
+    # A lossless leg admixes no vacuum: it draws nothing and returns its
+    # inputs bit for bit.
+    x, y = apply_loss(slots.x1, slots.y1, 1.0, _NoDraws())
+    assert x.tobytes() == slots.x1.tobytes()
+    assert y.tobytes() == slots.y1.tobytes()
 
 
 def test_apply_loss_full_blockage_gives_vacuum():
@@ -245,6 +255,19 @@ def test_frame_rows_draw_what_each_substream_draws(seed, phase, frames, k, rest)
             (k, *rest)
         )
         assert np.array_equal(drawn[:, i], expected)
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.uint32])
+def test_numpy_integer_seed_index_and_phase_draw_what_python_ints_draw(np_int):
+    root = RngStream(np_int(5))
+    assert np.array_equal(
+        root.generator().standard_normal(8), RngStream(5).generator().standard_normal(8)
+    )
+    expected = RngStream(5).substream(4, 2).generator().standard_normal(8)
+    child = root.substream(np_int(4), np_int(2))
+    assert np.array_equal(child.generator().standard_normal(8), expected)
+    rows = root.rows(np.array([4], dtype=np_int), np_int(2))
+    assert np.array_equal(rows.standard_normal((1, 1, 8))[0, 0], expected)
 
 
 def test_frame_rows_reject_negative_indices_and_mismatched_draws():
