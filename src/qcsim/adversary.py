@@ -29,6 +29,7 @@ from .quadrature import (
     RngStream,
     SlotPair,
     SqueezeParam,
+    _check_r,
     sample_slots,
 )
 
@@ -71,10 +72,7 @@ class InterceptResend:
     fake_r: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.fake_r) and self.fake_r >= 0.0):
-            raise DomainError(
-                f"fake source correlation must be finite and >= 0, got {self.fake_r!r}"
-            )
+        _check_r(self.fake_r)
 
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
         return InterceptResendEve(self.fake_r, amplitude, session_r, rng)

@@ -13,57 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, HidingWindowError, SignalBudgetError
 from .quadrature import HIDING_THRESHOLD_R, SlotPair, SqueezeParam, hiding_window
-
-
-class Modulation(Enum):
-    AM = "am"  # amplitude-quadrature displacement, carries bit 1
-    PM = "pm"  # phase-quadrature displacement, carries bit 0
-
-
-@dataclass(frozen=True)
-class ModulationSymbol:
-    """A displacement of amplitude s > 0 on one quadrature; signal power is s**2."""
-
-    kind: Modulation
-    amplitude: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
-            raise DomainError(
-                f"modulation amplitude must be finite and > 0, got {self.amplitude!r}"
-            )
-
-    @property
-    def power(self) -> float:
-        return self.amplitude * self.amplitude
-
-
-@dataclass(frozen=True)
-class BitFrame:
-    """One key bit and the symbol that carries it over slot_count slots."""
-
-    frame_index: int
-    bit: int
-    symbol: ModulationSymbol
-    slot_count: int
-
-    def __post_init__(self):
-        if self.bit not in (0, 1):
-            raise DomainError(f"bit must be 0 or 1, got {self.bit!r}")
-        if self.slot_count < 1:
-            raise DomainError(f"slot_count must be >= 1, got {self.slot_count!r}")
-        if (self.bit == 1) != (self.symbol.kind is Modulation.AM):
-            raise DomainError("bit 1 must ride on AM, bit 0 on PM")
-
-    @property
-    def amplitude(self) -> float:
-        return self.symbol.amplitude
 
 
 @dataclass(frozen=True)
@@ -76,17 +30,14 @@ class BitBlock:
     slot_count: int
 
     def __post_init__(self):
-        ModulationSymbol(Modulation.AM, self.amplitude)  # validates
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
+            raise DomainError(
+                f"modulation amplitude must be finite and > 0, got {self.amplitude!r}"
+            )
         if not np.isin(self.bits, (0, 1)).all():
             raise DomainError("bits must be 0 or 1")
         if self.slot_count < 1:
             raise DomainError(f"slot_count must be >= 1, got {self.slot_count!r}")
-
-
-def symbol_for_bit(bit: int, amplitude: float) -> ModulationSymbol:
-    if bit not in (0, 1):
-        raise DomainError(f"bit must be 0 or 1, got {bit!r}")
-    return ModulationSymbol(Modulation.AM if bit == 1 else Modulation.PM, amplitude)
 
 
 def signal_amplitude_for(r: SqueezeParam, margin: float) -> float:
@@ -109,66 +60,60 @@ def signal_amplitude_for(r: SqueezeParam, margin: float) -> float:
     return math.sqrt(power)
 
 
-def encode_bit(frame: BitFrame | BitBlock, slot: SlotPair, r: SqueezeParam) -> SlotPair:
-    """Displace the signal beam of `slot` by the frame's symbol, or each row
-    of a (frames, slots) block by its own bit.
+def encode_bit(block: BitBlock, slot: SlotPair, r: SqueezeParam) -> SlotPair:
+    """Displace each row of the signal beam of a (frames, slots) block by
+    its own bit: bit 1 on the amplitude quadrature, bit 0 on the phase
+    quadrature.
 
     The idler quadratures are returned untouched (the sender never holds
     them).  Refuses to encode a power outside the hiding window: such a
     signal would either be exposed in the single-beam noise or undecodable.
     """
-    s = frame.amplitude
+    s = block.amplitude
     window = hiding_window(r)
     if not window.contains(s * s):
         raise SignalBudgetError(
             f"signal power {s * s:g} outside the hiding window "
             f"({window.lower:g}, {window.upper:g}) at r={r:g}"
         )
-    shape = np.shape(slot.x1)
-    if shape and shape[-1] != frame.slot_count:
+    length = np.shape(slot.x1)[-1]
+    if length != block.slot_count:
         raise ValueError(
-            f"slot batch of length {shape[-1]} does not match frame slot_count "
-            f"{frame.slot_count}"
+            f"slot batch of length {length} does not match frame slot_count "
+            f"{block.slot_count}"
         )
-    if isinstance(frame, BitBlock):
-        am = (np.asarray(frame.bits) == 1)[:, None]
-        x1 = np.where(am, slot.x1 + s, slot.x1)
-        y1 = np.where(am, slot.y1, slot.y1 + s)
-        return SlotPair(x1, y1, slot.x2, slot.y2)
-    if frame.symbol.kind is Modulation.AM:
-        return SlotPair(slot.x1 + s, slot.y1, slot.x2, slot.y2)
-    return SlotPair(slot.x1, slot.y1 + s, slot.x2, slot.y2)
+    am = (np.asarray(block.bits) == 1)[:, None]
+    x1 = np.where(am, slot.x1 + s, slot.x1)
+    y1 = np.where(am, slot.y1, slot.y1 + s)
+    return SlotPair(x1, y1, slot.x2, slot.y2)
 
 
 @dataclass(frozen=True)
 class DecodedBit:
-    """A frame's bit and confidence; lists of them, one entry per frame,
-    when decoded from a (frames, slots) block."""
+    """Bits and confidences of a block of frames, one entry per frame."""
 
-    bit: int | list[int]
-    confidence: float | list[float]
+    bit: list[int]
+    confidence: list[float]
 
 
 def decode_bit(joint, amplitude: float, noise_var: float) -> DecodedBit:
-    """Decide a frame's bit from the block means of the two joint outputs.
+    """Decide each frame's bit from the block means of the two joint
+    outputs, given as (frames, slots) arrays.
 
     The larger of |mean(d_plus)| and |mean(d_minus)| picks the modulated
     quadrature (amplitude -> 1, phase -> 0).  Confidence is the gap between
     the two magnitudes in units of the expected standard error of a block
     mean, sqrt(noise_var / M).  An exact tie decodes as 0 with confidence 0.
-    Block means run along the last axis, so a (frames, slots) block decodes
-    one bit per frame.
     """
     if not amplitude > 0.0:
         raise DomainError(f"amplitude must be > 0, got {amplitude!r}")
     if not noise_var > 0.0:
         raise DomainError(f"noise_var must be > 0, got {noise_var!r}")
-    d_plus = np.atleast_1d(np.asarray(joint.d_plus, dtype=float))
-    d_minus = np.atleast_1d(np.asarray(joint.d_minus, dtype=float))
+    d_plus, d_minus = joint.d_plus, joint.d_minus
+    if d_plus.ndim != 2 or d_plus.shape != d_minus.shape:
+        raise ValueError("d_plus and d_minus must be equally shaped (frames, slots)")
     if d_plus.shape[-1] == 0:
         raise ValueError("cannot decode an empty frame")
-    if d_plus.shape != d_minus.shape:
-        raise ValueError("d_plus and d_minus must have equal length")
     m_plus = np.abs(np.mean(d_plus, axis=-1))
     m_minus = np.abs(np.mean(d_minus, axis=-1))
     sigma = math.sqrt(noise_var / d_plus.shape[-1])

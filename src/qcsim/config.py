@@ -18,6 +18,7 @@ from .adversary import ATTACKS, NoAttack
 from .detection import DetectorConfig
 from .errors import ConfigError, DomainError
 from .quadrature import Quadrature
+from .report import fmt
 from .session import SessionConfig
 from .verification import Thresholds
 
@@ -56,7 +57,9 @@ def _parse_float(section: str, key: str, raw: str) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
+    # report.json echoes the value at 10 significant digits, a rounding
+    # that overflows to infinity next to the largest double.
+    if not math.isfinite(float(fmt(value))):
         raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
     return value
 

@@ -3,15 +3,13 @@
 The detector gives simultaneous access to the amplitude-sum x1'+x2 and the
 phase-difference y1'-y2 photocurrents; the optical internals (phase shifter,
 50/50 splitter, photodiode pair) are subsumed in that definition.  Also
-provides shot-noise calibration, correlation-degree reporting in dB below
-the two-beam shot-noise limit, and a spectrum-analyzer style trace
-generator.
+provides correlation-degree reporting in dB below the two-beam shot-noise
+limit and a spectrum-analyzer style trace generator.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,17 +47,6 @@ class JointMeasurement:
     d_minus: float | np.ndarray  # y1' - y2 (+ electronic noise)
 
 
-def _bell_outputs(x1, y1, x2, y2, cfg: DetectorConfig, g):
-    d_plus = x1 + x2
-    d_minus = y1 - y2
-    if cfg.electronic_noise_var > 0.0:
-        scale = math.sqrt(cfg.electronic_noise_var)
-        n_plus, n_minus = g.standard_normal((2, *np.shape(d_plus)))
-        d_plus = d_plus + scale * n_plus
-        d_minus = d_minus + scale * n_minus
-    return JointMeasurement(d_plus=d_plus, d_minus=d_minus)
-
-
 def bell_measure(
     received, idler, cfg: DetectorConfig, rng: RngStream | FrameRows
 ) -> JointMeasurement:
@@ -68,31 +55,14 @@ def bell_measure(
     `received` and `idler` are (x, y) pairs; each output channel gains
     independent zero-mean electronic noise of the configured variance.
     """
-    x1, y1 = received
-    x2, y2 = idler
-    return _bell_outputs(x1, y1, x2, y2, cfg, rng)
-
-
-def snl_reference(n: int, cfg: DetectorConfig, rng: RngStream) -> float:
-    """Calibrate the shot-noise reference from two independent vacuum beams.
-
-    Returns the sample variance of the amplitude-sum output; expectation
-    2 + electronic noise.  The calibration does not depend on the source
-    correlation, only on the vacuum inputs.
-    """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
-    g = rng.generator()
-    x1, y1, x2, y2 = g.standard_normal((4, n))
-    out = _bell_outputs(x1, y1, x2, y2, cfg, g)
-    if n == 1:
-        warnings.warn(
-            "single-sample shot-noise calibration is low precision",
-            stacklevel=2,
-        )
-        return float(out.d_plus[0] ** 2)
-    return float(np.var(out.d_plus, ddof=1))
+    d_plus = received[0] + idler[0]
+    d_minus = received[1] - idler[1]
+    if cfg.electronic_noise_var > 0.0:
+        scale = math.sqrt(cfg.electronic_noise_var)
+        n_plus, n_minus = rng.standard_normal((2, *np.shape(d_plus)))
+        d_plus = d_plus + scale * n_plus
+        d_minus = d_minus + scale * n_minus
+    return JointMeasurement(d_plus=d_plus, d_minus=d_minus)
 
 
 @dataclass(frozen=True)
@@ -113,9 +83,20 @@ def correlation_degree(
     d = np.asarray(samples.d_plus if channel is Quadrature.X else samples.d_minus)
     if d.ndim == 0 or d.shape[-1] < 2:
         raise ValueError("correlation degree needs at least two samples")
-    var = np.var(d, axis=-1, ddof=1)
-    cd_db = [-10.0 * math.log10(v / TWO_BEAM_SNL) for v in np.ravel(var).tolist()]
-    return CorrelationDegree(cd_db=cd_db if var.ndim else cd_db[0])
+    return CorrelationDegree(cd_db=db_below_snl(np.var(d, axis=-1, ddof=1)))
+
+
+def db_below_snl(var):
+    """-10*log10(var/2), the level of a variance in dB below the two-beam
+    SNL; a list of levels for an array of variances."""
+    v = np.asarray(var, dtype=float) / TWO_BEAM_SNL
+    if not np.all((v > 0.0) & (v < math.inf)):
+        raise DomainError(
+            "a joint output variance is 0 or not finite: the sampled beams "
+            "exceed double precision at these parameters"
+        )
+    db = [-10.0 * math.log10(x) for x in np.ravel(v).tolist()]
+    return db if v.ndim else db[0]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,10 @@ from .errors import DomainError
 #: Correlation parameter above which the hiding window opens (exp(4r) = 3).
 HIDING_THRESHOLD_R = math.log(3.0) / 4.0
 
+#: Largest correlation parameter accepted, far below where cosh(2r)
+#: (r ~ 355) or the squared samples summed over a chunk overflow.
+R_MAX = 100.0
+
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
@@ -164,8 +168,10 @@ class HidingWindow:
 
 def _check_r(r: float) -> float:
     r = float(r)
-    if not math.isfinite(r) or r < 0.0:
-        raise DomainError(f"correlation parameter must be finite and >= 0, got {r!r}")
+    if not 0.0 <= r <= R_MAX:
+        raise DomainError(
+            f"correlation parameter must lie in [0, {R_MAX:g}], got {r!r}"
+        )
     return r
 
 

@@ -21,12 +21,13 @@ import numpy as np
 
 from .adversary import AttackSpec, Eavesdropper, EveRecord, NoAttack
 from .codec import BitBlock, decode_bit, encode_bit, signal_amplitude_for
-from .detection import DetectorConfig, bell_measure, correlation_degree
-from .errors import ConfigError
+from .detection import DetectorConfig, bell_measure, correlation_degree, db_below_snl
+from .errors import ConfigError, DomainError
 from .quadrature import (
     Quadrature,
     RngStream,
     SlotPair,
+    _check_r,
     apply_loss,
     expected_sum_variance,
     sample_slots,
@@ -79,8 +80,10 @@ class SessionConfig:
     thresholds: Thresholds = Thresholds()
 
     def validate(self) -> None:
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ConfigError(f"r must be finite and >= 0, got {self.r!r}")
+        try:
+            _check_r(self.r)
+        except DomainError as exc:
+            raise ConfigError(f"r: {exc}") from None
         if not self.key_bits:
             raise ConfigError("key_bits must contain at least one bit")
         if set(self.key_bits) - {"0", "1"}:
@@ -158,8 +161,7 @@ def _pooled_residual_cd(residual_ss: list[float], slots_per_frame: int) -> float
     if n - k < 1:
         return None
     # A sequential sum over frames, in frame order.
-    ss = sum(residual_ss)
-    return -10.0 * math.log10(ss / (n - k) / 2.0)
+    return db_below_snl(sum(residual_ss) / (n - k))
 
 
 def _residual_ss(d: np.ndarray) -> list[float]:
@@ -243,7 +245,7 @@ def simulate_frame(
 
     if blocked.any():
         held = frames[blocked]
-        traces = record_block_traces(
+        alice, bob = record_block_traces(
             schedule,
             held,
             sig_x[blocked],
@@ -251,22 +253,14 @@ def simulate_frame(
             cfg.detector,
             root.rows(held, _PHASE_SCOPES),
         )
-        stats = trace_stats(traces.alice, traces.bob)
-        for f, a, b, *row in zip(
-            held.tolist(),
-            traces.alice.samples,
-            traces.bob.samples,
-            stats.pearson,
-            stats.rms_sum,
-            stats.rms_diff,
-        ):
-            tally.traces.append(
-                BlockTraces(
-                    alice=FluctuationTrace(TraceOwner.ALICE, f, a),
-                    bob=FluctuationTrace(TraceOwner.BOB, f, b),
-                )
+        tally.traces.extend(
+            BlockTraces(
+                alice=FluctuationTrace(TraceOwner.ALICE, f, a),
+                bob=FluctuationTrace(TraceOwner.BOB, f, b),
             )
-            tally.trace_stats.append(TraceStats(*row))
+            for f, a, b in zip(held.tolist(), alice, bob)
+        )
+        tally.trace_stats.extend(trace_stats(alice, bob))
         if eve is not None:
             eve.drop(held)
 
@@ -352,7 +346,7 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
         cd_summary = CdSummary(
             measured_plus_db=plus_db,
             measured_minus_db=minus_db,
-            expected_db=-10.0 * math.log10(noise_var / 2.0),
+            expected_db=db_below_snl(noise_var),
         )
 
     sent_bits = "".join(map(str, bits[sent].tolist()))

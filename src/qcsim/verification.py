@@ -28,9 +28,6 @@ class BlockSchedule:
     block_prob: float
     n_frames: int
 
-    def is_blocked(self, frame_index: int) -> bool:
-        return frame_index in self.blocked
-
 
 def schedule_blocks(n_frames: int, block_prob: float, rng: RngStream) -> BlockSchedule:
     """Block each frame independently with probability block_prob."""
@@ -57,11 +54,10 @@ class TraceOwner(Enum):
 
 @dataclass(frozen=True)
 class FluctuationTrace:
-    """One party's trace of a blocked frame; of several frames at once when
-    `frame_index` is an array and `samples` has one row per frame."""
+    """One party's trace of a blocked frame."""
 
     owner: TraceOwner
-    frame_index: int | np.ndarray
+    frame_index: int
     samples: np.ndarray
 
 
@@ -73,28 +69,27 @@ class BlockTraces:
 
 def record_block_traces(
     schedule: BlockSchedule,
-    frame_index,
-    sender_beam_x,
-    idler_x,
+    frames: np.ndarray,
+    sender_beam_x: np.ndarray,
+    idler_x: np.ndarray,
     cfg: DetectorConfig,
     rng: RngStream | FrameRows,
-) -> BlockTraces:
-    """Record both parties' oscilloscope traces for one blocked frame, or
-    for an array of blocked frames given one row of samples each.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Record both parties' oscilloscope traces of blocked frames, given one
+    row of samples per frame; returns the (alice, bob) trace arrays.
 
     The sender sees the amplitude quadrature of whatever beam reached her;
     the receiver's signal port is dark, so his trace is the retained idler's
     amplitude quadrature.  Each trace gains the recording detector's
     electronic noise.
     """
-    unblocked = set(np.atleast_1d(frame_index).tolist()) - schedule.blocked
+    unblocked = set(frames.tolist()) - schedule.blocked
     if unblocked:
         raise ProtocolOrderError(
             f"frame {min(unblocked)} is not blocked; traces are recorded only "
             f"while the beam is interrupted"
         )
-    a = np.atleast_1d(np.asarray(sender_beam_x, dtype=float))
-    b = np.atleast_1d(np.asarray(idler_x, dtype=float))
+    a, b = sender_beam_x, idler_x
     if a.shape != b.shape:
         raise ValueError("sender and receiver traces must have equal length")
     if cfg.electronic_noise_var > 0.0:
@@ -102,34 +97,26 @@ def record_block_traces(
         noise_a, noise_b = rng.standard_normal((2, *a.shape))
         a = a + scale * noise_a
         b = b + scale * noise_b
-    return BlockTraces(
-        alice=FluctuationTrace(TraceOwner.ALICE, frame_index, a),
-        bob=FluctuationTrace(TraceOwner.BOB, frame_index, b),
-    )
+    return a, b
 
 
 @dataclass(frozen=True)
 class TraceStats:
-    """Statistics of one frame's traces; lists, one entry per frame, for
-    traces of several frames."""
+    """Statistics of one frame's traces."""
 
-    pearson: float | list[float]
-    rms_sum: float | list[float]
-    rms_diff: float | list[float]
+    pearson: float
+    rms_sum: float
+    rms_diff: float
 
 
-def trace_stats(alice: FluctuationTrace, bob: FluctuationTrace) -> TraceStats:
-    """Sample correlation and rms of the sum/difference of two aligned
-    traces, along the last axis of their samples."""
-    a = np.asarray(alice.samples, dtype=float)
-    b = np.asarray(bob.samples, dtype=float)
+def trace_stats(alice: np.ndarray, bob: np.ndarray) -> list[TraceStats]:
+    """Sample correlation and rms of the sum/difference of aligned traces,
+    one `TraceStats` per row of the (frames, points) arrays."""
+    a, b = alice, bob
     if a.shape != b.shape:
-        raise ValueError(
-            f"trace length mismatch: {a.shape} vs {b.shape} "
-            f"(frames {alice.frame_index} and {bob.frame_index})"
-        )
-    if a.ndim == 0 or a.shape[-1] < 2:
-        raise ValueError("traces need at least two points")
+        raise ValueError(f"trace length mismatch: {a.shape} vs {b.shape}")
+    if a.ndim != 2 or a.shape[-1] < 2:
+        raise ValueError("traces need one row per frame of at least two points")
     sa = np.std(a, axis=-1)
     sb = np.std(b, axis=-1)
     covariance = np.mean(
@@ -138,10 +125,13 @@ def trace_stats(alice: FluctuationTrace, bob: FluctuationTrace) -> TraceStats:
     )
     flat = (sa == 0.0) | (sb == 0.0)
     pearson = np.divide(covariance, sa * sb, out=np.zeros_like(sa), where=~flat)
-    return TraceStats(
-        pearson=pearson.tolist(),
-        rms_sum=np.sqrt(np.mean((a + b) ** 2, axis=-1)).tolist(),
-        rms_diff=np.sqrt(np.mean((a - b) ** 2, axis=-1)).tolist(),
+    return list(
+        map(
+            TraceStats,
+            pearson.tolist(),
+            np.sqrt(np.mean((a + b) ** 2, axis=-1)).tolist(),
+            np.sqrt(np.mean((a - b) ** 2, axis=-1)).tolist(),
+        )
     )
 
 

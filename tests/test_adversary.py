@@ -3,22 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from qcsim import (
-    DetectorConfig,
-    DomainError,
+from qcsim.adversary import (
     InterceptResend,
     InterceptResendEve,
     Qnd,
-    Quadrature,
-    RngStream,
     Tap,
     back_action_var,
-    bell_measure,
     qnd_measure,
-    sample_slots,
-    signal_amplitude_for,
     tap,
 )
+from qcsim.codec import signal_amplitude_for
+from qcsim.detection import DetectorConfig, bell_measure
+from qcsim.errors import DomainError
+from qcsim.quadrature import Quadrature, RngStream, sample_slots
 
 NOISELESS = DetectorConfig(electronic_noise_var=0.0)
 COSH_0875 = 1.4078686568228032
@@ -140,7 +137,7 @@ def test_qnd_phase_probe_kicks_amplitude():
 def _run_intercept_chain(fake_r, session_r, bits, m, seed):
     """Drive the intercept-resend relay over a lossless channel; returns
     (eve_bits, bob_bits, eve)."""
-    from qcsim import decode_bit
+    from qcsim.codec import decode_bit
 
     amplitude = signal_amplitude_for(session_r, 0.5)
     eve = InterceptResendEve(fake_r, amplitude, session_r, RngStream(seed ^ 0xE5E))
@@ -158,12 +155,12 @@ def _run_intercept_chain(fake_r, session_r, bits, m, seed):
             fake_y = fake_y + amplitude
         to_bob_x, to_bob_y = eve.relay(frame, fake_x, fake_y, root.rows(frame, 2))
         joint = bell_measure(
-            (to_bob_x[0], to_bob_y[0]),
-            (slots.x2, slots.y2),
+            (to_bob_x, to_bob_y),
+            (slots.x2[None], slots.y2[None]),
             NOISELESS,
-            root.substream(i, 1),
+            root.rows(frame, 1),
         )
-        bob_bits.append(decode_bit(joint, amplitude, noise_var).bit)
+        bob_bits.extend(decode_bit(joint, amplitude, noise_var).bit)
     return list(eve.record.decoded_bits), bob_bits, eve
 
 

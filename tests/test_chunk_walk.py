@@ -15,18 +15,11 @@ import hashlib
 
 import pytest
 
-from qcsim import (
-    DetectorConfig,
-    InterceptResend,
-    NoAttack,
-    Qnd,
-    Quadrature,
-    SessionConfig,
-    Tap,
-    run_session,
-    transcript_to_json,
-)
-from qcsim.session import _CHUNK_SLOTS
+from qcsim.adversary import InterceptResend, NoAttack, Qnd, Tap
+from qcsim.detection import DetectorConfig
+from qcsim.quadrature import Quadrature
+from qcsim.report import transcript_to_json
+from qcsim.session import _CHUNK_SLOTS, SessionConfig, run_session
 
 ATTACKS = {
     "none": NoAttack(),

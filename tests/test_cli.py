@@ -1,12 +1,23 @@
+import contextlib
+import hashlib
+import io
+import itertools
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qcsim import SessionConfig, Tap, load_config
+from qcsim.adversary import ATTACKS, Tap
 from qcsim.cli import _apply_sweep_param, main
+from qcsim.config import load_config
 from qcsim.errors import ConfigError
+from qcsim.quadrature import R_MAX
 from qcsim.report import load_report
+from qcsim.session import SessionConfig
 
 SIX_BIT_CONFIG = """\
 [session]
@@ -112,6 +123,106 @@ def test_run_ends_in_documented_exit_code(
         assert "slots_per_frame must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[session]\nr = 400\nkey_bits = 10\nseed = 3\n", "r: "),
+        (
+            "[session]\nkey_bits = 10\nseed = 3\n"
+            "[attack]\nkind = intercept_resend\nfake_r = 800\n",
+            "[attack] ",
+        ),
+    ],
+    ids=["r", "fake_r"],
+)
+def test_run_rejects_correlation_above_bound(tmp_path, capsys, text, named):
+    # Both values pass every other check; without the bound they end in an
+    # OverflowError traceback.
+    config = _write(tmp_path, "strong.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert f"[0, {R_MAX:g}]" in err
+    assert not out.exists()
+
+
+UNIT = st.floats(0.0, 1.0)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CORRELATION = st.floats(0.0, R_MAX)
+
+#: Every [session], [detector], [attack] and [thresholds] key over its
+#: whole accepted domain, at shapes of at most 8 frames of 32 slots.
+RUN_CONFIGS = st.fixed_dictionaries(
+    {
+        "session": st.fixed_dictionaries(
+            {
+                "r": CORRELATION,
+                "key_bits": st.text("01", min_size=1, max_size=8),
+                "seed": st.integers(-(2**64), 2**64),
+                "frames": st.integers(1, 8),
+                "slots_per_frame": st.integers(2, 32),
+                "margin": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                "eta_out": UNIT,
+                "eta_back": UNIT,
+                "block_prob": UNIT,
+            }
+        ),
+        "detector": st.fixed_dictionaries({"electronic_noise_var": st.floats(0.0, 1e6)}),
+        "attack": st.fixed_dictionaries(
+            {
+                "kind": st.sampled_from(sorted(ATTACKS)),
+                "tau": UNIT,
+                "fake_r": CORRELATION,
+                "measured_quadrature": st.sampled_from(["x", "y"]),
+                "measurement_var": st.floats(0.0, 1e6, exclude_min=True),
+            }
+        ),
+        "thresholds": st.fixed_dictionaries(
+            {
+                "pearson": st.none() | FINITE,
+                "rms_ratio": st.none() | FINITE,
+                "cd_margin_db": FINITE,
+            }
+        ),
+    }
+)
+
+
+def _ini(sections: dict) -> str:
+    return "".join(
+        f"[{name}]\n"
+        + "".join(
+            f"{key} = {'' if v is None else v if isinstance(v, str) else repr(v)}\n"
+            for key, v in values.items()
+        )
+        for name, values in sections.items()
+    )
+
+
+_RUNS = itertools.count()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(sections=RUN_CONFIGS)
+def test_run_never_raises_on_any_config(tmp_path, sections):
+    # The [spectrum] section keeps its defaults: a resolution bandwidth far
+    # below the span asks for that many bins.
+    run_dir = tmp_path / str(next(_RUNS))
+    run_dir.mkdir()
+    config = _write(run_dir, "session.ini", _ini(sections))
+    argv = ["run", "--config", config, "--spectrum", "--out", str(run_dir / "out")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+
+
 def test_run_rejects_subthreshold_correlation(tmp_path, capsys):
     config = _write(
         tmp_path,
@@ -151,8 +262,6 @@ def test_golden_file_regression(tmp_path):
     # Frozen digests for one tiny session: the seed must determine every
     # output byte.  A change here means the sampling stream or the output
     # format moved (e.g. a numpy bit-stream change) and is worth noticing.
-    import hashlib
-
     config = _write(
         tmp_path,
         "golden.ini",
@@ -171,6 +280,15 @@ def test_golden_file_regression(tmp_path):
         "trace_frame_0000.csv": "97cb9e48a3ac147e82dc9107ea98a3c90cfd7dcef6ed0eaa13b1a7fb5162accb",
         "trace_frame_0006.csv": "7519c5303810983f75c87616c6b72283abe4f097b32ec0d90cfadba4cbb43613",
     }
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "reason='eavesdropper_suspected'" in out
 
 
 def test_trace_and_spectrum_headers(tmp_path):
@@ -303,6 +421,48 @@ def test_sweep_r_flags_empty_window_rows(tmp_path, capsys):
     later = lines[-1].split(",")
     assert later[3] != "" and later[4] != ""
     assert "no hiding window" in capsys.readouterr().err
+
+
+SWEEP_SESSION = """\
+[session]
+r = 0.4375
+key_bits = 100110
+seed = {seed}
+frames = 8
+slots_per_frame = 50
+block_prob = 0.25
+"""
+
+
+@pytest.mark.parametrize(
+    "param, grid, config, digest",
+    [
+        (
+            # The first point has an empty hiding window, so its row comes
+            # from the unmodulated correlation-degree probe.
+            "r",
+            "0.2:0.5:0.15",
+            SWEEP_SESSION.format(seed=23),
+            "36fc201c9961b1f572aed67b1a65a1827d9cb2a1987e8e78ebe9b8a97164df37",
+        ),
+        (
+            "tau",
+            "0:0.3:0.15",
+            SWEEP_SESSION.format(seed=29) + "\n[attack]\nkind = tap\ntau = 0.3\n",
+            "2e4fe4ed61cf7a86b2582ec23edce8647541540a7eaa9502d3d3bb00fef9e7d0",
+        ),
+    ],
+    ids=["r", "tau"],
+)
+def test_sweep_golden_digest(tmp_path, param, grid, config, digest):
+    # Frozen bytes of two small sweeps, as test_golden_file_regression
+    # freezes those of a run.
+    path = _write(tmp_path, "sweep.ini", config)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", path, "--param", param, "--grid", grid,
+            "--out", str(out), "--sessions-per-point", "2"]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -444,7 +604,8 @@ def test_config_parses_attack_and_sections(tmp_path):
     assert cfg.r == 0.5
     assert cfg.frames == 12
     assert cfg.detector.electronic_noise_var == 0.25
-    from qcsim import Qnd, Quadrature
+    from qcsim.adversary import Qnd
+    from qcsim.quadrature import Quadrature
 
     assert isinstance(cfg.attack, Qnd)
     assert cfg.attack.measured_quadrature is Quadrature.Y

@@ -3,77 +3,62 @@ import math
 import numpy as np
 import pytest
 
-from qcsim import (
-    BitFrame,
-    DetectorConfig,
-    DomainError,
-    HidingWindowError,
-    JointMeasurement,
-    Modulation,
-    ModulationSymbol,
-    RngStream,
-    SignalBudgetError,
-    SlotPair,
-    bell_measure,
-    decode_bit,
-    encode_bit,
-    hiding_window,
-    sample_slots,
-    signal_amplitude_for,
-    symbol_for_bit,
-)
+from qcsim.codec import BitBlock, decode_bit, encode_bit, signal_amplitude_for
+from qcsim.detection import DetectorConfig, JointMeasurement, bell_measure
+from qcsim.errors import DomainError, HidingWindowError, SignalBudgetError
+from qcsim.quadrature import RngStream, SlotPair, hiding_window, sample_slots
 
 NOISELESS = DetectorConfig(electronic_noise_var=0.0)
 
 
+def _one_slot(x1, y1, x2, y2):
+    """A block of one frame of one slot."""
+    return SlotPair(*(np.array([[v]]) for v in (x1, y1, x2, y2)))
+
+
 def test_symbol_requires_positive_amplitude():
     with pytest.raises(DomainError):
-        ModulationSymbol(Modulation.AM, 0.0)
+        BitBlock(np.array([1]), 0.0, 4)
     with pytest.raises(DomainError):
-        ModulationSymbol(Modulation.PM, -1.0)
+        BitBlock(np.array([0]), -1.0, 4)
+    with pytest.raises(DomainError):
+        BitBlock(np.array([1]), math.inf, 4)
 
 
 def test_frame_bit_symbol_consistency():
-    am = ModulationSymbol(Modulation.AM, 1.0)
-    pm = ModulationSymbol(Modulation.PM, 1.0)
-    BitFrame(0, 1, am, 4)
-    BitFrame(0, 0, pm, 4)
+    BitBlock(np.array([1, 0]), 1.0, 4)
     with pytest.raises(DomainError):
-        BitFrame(0, 0, am, 4)
+        BitBlock(np.array([1, 2]), 1.0, 4)
     with pytest.raises(DomainError):
-        BitFrame(0, 1, pm, 4)
-    with pytest.raises(DomainError):
-        BitFrame(0, 2, am, 4)
-    with pytest.raises(DomainError):
-        BitFrame(0, 1, am, 0)
+        BitBlock(np.array([1]), 1.0, 0)
 
 
 def test_symbol_for_bit_mapping():
-    assert symbol_for_bit(1, 1.0).kind is Modulation.AM
-    assert symbol_for_bit(0, 1.0).kind is Modulation.PM
+    # Bit 1 rides on the amplitude quadrature, bit 0 on the phase quadrature.
+    zeros = np.zeros((2, 1))
+    out = encode_bit(
+        BitBlock(np.array([1, 0]), 1.0, 1), SlotPair(zeros, zeros, zeros, zeros), r=1.0
+    )
+    assert out.x1.tolist() == [[1.0], [0.0]]
+    assert out.y1.tolist() == [[0.0], [1.0]]
 
 
 def test_encode_am_displaces_amplitude_only():
-    frame = BitFrame(0, 1, ModulationSymbol(Modulation.AM, 1.0), 1)
-    slot = SlotPair(x1=0.2, y1=-0.4, x2=0.7, y2=0.1)
-    out = encode_bit(frame, slot, r=1.0)
-    assert out.x1 == pytest.approx(1.2)
-    assert out.y1 == -0.4
-    assert out.x2 == 0.7 and out.y2 == 0.1
+    out = encode_bit(BitBlock(np.array([1]), 1.0, 1), _one_slot(0.2, -0.4, 0.7, 0.1), r=1.0)
+    assert out.x1[0, 0] == pytest.approx(1.2)
+    assert out.y1[0, 0] == -0.4
+    assert out.x2[0, 0] == 0.7 and out.y2[0, 0] == 0.1
 
 
 def test_encode_pm_displaces_phase_only():
-    frame = BitFrame(0, 0, ModulationSymbol(Modulation.PM, 1.0), 1)
-    slot = SlotPair(x1=0.2, y1=-0.4, x2=0.7, y2=0.1)
-    out = encode_bit(frame, slot, r=1.0)
-    assert out.x1 == 0.2
-    assert out.y1 == pytest.approx(0.6)
+    out = encode_bit(BitBlock(np.array([0]), 1.0, 1), _one_slot(0.2, -0.4, 0.7, 0.1), r=1.0)
+    assert out.x1[0, 0] == 0.2
+    assert out.y1[0, 0] == pytest.approx(0.6)
 
 
 def test_encode_never_touches_idler_arrays():
-    slots = sample_slots(1.0, RngStream(3).substream(0), 16)
-    frame = BitFrame(0, 1, ModulationSymbol(Modulation.AM, 1.0), 16)
-    out = encode_bit(frame, slots, r=1.0)
+    slots = sample_slots(1.0, RngStream(3).rows([0]), (1, 16))
+    out = encode_bit(BitBlock(np.array([1]), 1.0, 16), slots, r=1.0)
     assert out.x2 is slots.x2
     assert out.y2 is slots.y2
 
@@ -89,23 +74,20 @@ def test_encode_rejects_power_outside_window():
         w.upper * 2.0,
     )
     for power in edges:
-        symbol = ModulationSymbol(Modulation.AM, math.sqrt(power))
-        frame = BitFrame(0, 1, symbol, 1)
+        block = BitBlock(np.array([1]), math.sqrt(power), 1)
         with pytest.raises(SignalBudgetError):
-            encode_bit(frame, SlotPair(0.0, 0.0, 0.0, 0.0), r=1.0)
+            encode_bit(block, _one_slot(0.0, 0.0, 0.0, 0.0), r=1.0)
 
 
 def test_encode_accepts_power_inside_window():
     # At r=1 a unit signal power sits inside (0.271, 3.762).
-    frame = BitFrame(0, 1, ModulationSymbol(Modulation.AM, 1.0), 1)
-    encode_bit(frame, SlotPair(0.0, 0.0, 0.0, 0.0), r=1.0)
+    encode_bit(BitBlock(np.array([1]), 1.0, 1), _one_slot(0.0, 0.0, 0.0, 0.0), r=1.0)
 
 
 def test_encode_checks_batch_length():
-    frame = BitFrame(0, 1, ModulationSymbol(Modulation.AM, 1.0), 8)
-    slots = sample_slots(1.0, RngStream(3).substream(1), 16)
+    slots = sample_slots(1.0, RngStream(3).rows([1]), (1, 16))
     with pytest.raises(ValueError):
-        encode_bit(frame, slots, r=1.0)
+        encode_bit(BitBlock(np.array([1]), 1.0, 8), slots, r=1.0)
 
 
 def test_amplitude_geometric_interpolation():
@@ -135,54 +117,54 @@ def test_amplitude_rejects_bad_margin(margin):
 
 
 def test_decode_pure_amplitude_signal():
-    joint = JointMeasurement(d_plus=np.full(8, 1.0), d_minus=np.zeros(8))
+    joint = JointMeasurement(d_plus=np.full((1, 8), 1.0), d_minus=np.zeros((1, 8)))
     out = decode_bit(joint, amplitude=1.0, noise_var=0.27)
-    assert out.bit == 1
-    assert out.confidence > 0
+    assert out.bit == [1]
+    assert out.confidence[0] > 0
 
 
 def test_decode_pure_phase_signal():
-    joint = JointMeasurement(d_plus=np.zeros(8), d_minus=np.full(8, 1.0))
+    joint = JointMeasurement(d_plus=np.zeros((1, 8)), d_minus=np.full((1, 8), 1.0))
     out = decode_bit(joint, amplitude=1.0, noise_var=0.27)
-    assert out.bit == 0
+    assert out.bit == [0]
 
 
 def test_decode_tie_breaks_to_zero():
-    joint = JointMeasurement(d_plus=np.full(4, 0.5), d_minus=np.full(4, -0.5))
+    joint = JointMeasurement(d_plus=np.full((1, 4), 0.5), d_minus=np.full((1, 4), -0.5))
     out = decode_bit(joint, amplitude=1.0, noise_var=0.27)
-    assert out.bit == 0
-    assert out.confidence == 0.0
+    assert out.bit == [0]
+    assert out.confidence == [0.0]
 
 
 def test_decode_accepts_measurement_sequence():
-    seq = JointMeasurement(np.array([1.0, 0.8]), np.array([0.1, -0.1]))
-    assert decode_bit(seq, amplitude=1.0, noise_var=0.27).bit == 1
+    # One bit per frame row.
+    seq = JointMeasurement(
+        np.array([[1.0, 0.8], [0.1, -0.1]]), np.array([[0.1, -0.1], [1.0, 0.8]])
+    )
+    assert decode_bit(seq, amplitude=1.0, noise_var=0.27).bit == [1, 0]
+    with pytest.raises(ValueError):
+        decode_bit(JointMeasurement(np.ones(2), np.ones(2)), 1.0, 0.27)
 
 
 def test_decode_rejects_empty_frame():
     with pytest.raises(ValueError):
-        decode_bit(JointMeasurement(np.array([]), np.array([])), 1.0, 0.27)
+        decode_bit(JointMeasurement(np.empty((1, 0)), np.empty((1, 0))), 1.0, 0.27)
     with pytest.raises(DomainError):
-        decode_bit(JointMeasurement(np.ones(2), np.ones(2)), 1.0, 0.0)
+        decode_bit(JointMeasurement(np.ones((1, 2)), np.ones((1, 2))), 1.0, 0.0)
 
 
 def _decode_frames(r, amplitude, bits, m, seed):
-    """Encode/measure/decode `bits` over a lossless noiseless channel."""
+    """Encode/measure/decode `bits` over a lossless noiseless channel, frame
+    i drawn from substream i of `seed`."""
     corr_var = 2.0 * math.exp(-2.0 * r)
-    decoded = []
-    confidences = []
-    root = RngStream(seed)
-    for i, bit in enumerate(bits):
-        slots = sample_slots(r, root.substream(i), m)
-        frame = BitFrame(i, bit, symbol_for_bit(bit, amplitude), m)
-        enc = encode_bit(frame, slots, r)
-        joint = bell_measure(
-            (enc.x1, enc.y1), (enc.x2, enc.y2), NOISELESS, root.substream(i, 1)
-        )
-        result = decode_bit(joint, amplitude, corr_var)
-        decoded.append(result.bit)
-        confidences.append(result.confidence)
-    return np.array(decoded), np.array(confidences)
+    root, frames = RngStream(seed), np.arange(bits.size)
+    slots = sample_slots(r, root.rows(frames), (bits.size, m))
+    enc = encode_bit(BitBlock(bits, amplitude, m), slots, r)
+    joint = bell_measure(
+        (enc.x1, enc.y1), (enc.x2, enc.y2), NOISELESS, root.rows(frames, 1)
+    )
+    result = decode_bit(joint, amplitude, corr_var)
+    return np.array(result.bit), np.array(result.confidence)
 
 
 def test_decode_error_rate_mid_window():

@@ -11,15 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcsim import (
-    DEFAULT_ELECTRONIC_NOISE_VAR,
-    DetectorConfig,
-    Quadrature,
-    SessionConfig,
-    SpectrumSettings,
-    Thresholds,
-    load_config,
-)
+from qcsim.config import SpectrumSettings, load_config
+from qcsim.detection import DEFAULT_ELECTRONIC_NOISE_VAR, DetectorConfig
+from qcsim.quadrature import Quadrature
+from qcsim.session import SessionConfig
+from qcsim.verification import Thresholds
 from qcsim.adversary import ATTACKS
 from qcsim.errors import ConfigError
 from qcsim.report import config_to_dict

@@ -3,20 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from qcsim import (
+from qcsim.detection import (
     DEFAULT_ELECTRONIC_NOISE_VAR,
     DetectorConfig,
-    DomainError,
     JointMeasurement,
-    Quadrature,
-    RngStream,
     SpectralSignal,
     bell_measure,
     correlation_degree,
-    sample_slots,
-    snl_reference,
     spectrum,
 )
+from qcsim.errors import DomainError
+from qcsim.quadrature import Quadrature, RngStream, sample_slots
 
 NOISELESS = DetectorConfig(electronic_noise_var=0.0)
 CORR_0875 = 0.8337240393570168
@@ -77,32 +74,6 @@ def test_variance_additivity(noise_var):
     assert abs(np.var(out.d_minus) - expected) <= tol
 
 
-def test_snl_reference_noiseless():
-    assert snl_reference(1_000_000, NOISELESS, RngStream(24)) == pytest.approx(
-        2.0, rel=0.01
-    )
-
-
-def test_snl_reference_with_default_noise():
-    value = snl_reference(1_000_000, DetectorConfig(), RngStream(25))
-    assert value == pytest.approx(2.0 + DEFAULT_ELECTRONIC_NOISE_VAR, rel=0.01)
-
-
-def test_snl_reference_is_vacuum_calibrated_for_any_seed():
-    # The calibration takes no source parameter at all; values only carry
-    # estimator noise.
-    values = [snl_reference(200_000, NOISELESS, RngStream(s)) for s in range(5)]
-    assert all(abs(v - 2.0) < 2.0 * 3.0 * math.sqrt(2.0 / 200_000) for v in values)
-
-
-def test_snl_reference_single_sample_is_flagged():
-    with pytest.warns(UserWarning):
-        value = snl_reference(1, NOISELESS, RngStream(26))
-    assert value >= 0.0
-    with pytest.raises(DomainError):
-        snl_reference(0, NOISELESS, RngStream(26))
-
-
 def test_correlation_degree_reproduces_squeezing_level():
     n = 1_000_000
     slots = sample_slots(0.4375, RngStream(27).substream(0), n)
@@ -125,7 +96,7 @@ def test_correlation_degree_no_squeezing_at_r0():
 
 
 def test_correlation_degree_with_channel_loss():
-    from qcsim import apply_loss
+    from qcsim.quadrature import apply_loss
 
     n = 1_000_000
     slots = sample_slots(0.4375, RngStream(29).substream(0), n)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcsim import (
-    DomainError,
+from qcsim.errors import DomainError
+from qcsim.quadrature import (
     HIDING_THRESHOLD_R,
     RngStream,
     apply_loss,

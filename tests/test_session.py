@@ -4,27 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qcsim import (
-    ConfigError,
-    DetectorConfig,
-    HidingWindowError,
-    InterceptResend,
-    NoAttack,
-    Qnd,
-    Quadrature,
-    RngStream,
+from qcsim.adversary import InterceptResend, NoAttack, Qnd, Tap
+from qcsim.detection import DetectorConfig
+from qcsim.errors import ConfigError, HidingWindowError
+from qcsim.quadrature import Quadrature, RngStream, sample_slots
+from qcsim.report import transcript_to_json
+from qcsim.session import (
+    _PHASE_EPR,
+    ABORT_EVE_SUSPECTED,
+    ABORT_NO_KEY,
     SessionConfig,
-    Tap,
-    Thresholds,
-    Verdict,
-    VerdictStatus,
     compare_keys,
     finalize,
     run_session,
-    sample_slots,
-    transcript_to_json,
 )
-from qcsim.session import ABORT_EVE_SUSPECTED, ABORT_NO_KEY, _PHASE_EPR
+from qcsim.verification import Thresholds, Verdict, VerdictStatus
 
 NOISELESS = DetectorConfig(electronic_noise_var=0.0)
 

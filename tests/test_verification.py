@@ -3,31 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from qcsim import (
+from qcsim.adversary import InterceptResendEve
+from qcsim.codec import signal_amplitude_for
+from qcsim.detection import DetectorConfig
+from qcsim.errors import DomainError, ProtocolOrderError
+from qcsim.quadrature import RngStream, sample_slots
+from qcsim.verification import (
     BlockSchedule,
     CdSummary,
-    DetectorConfig,
-    DomainError,
-    FluctuationTrace,
-    InterceptResendEve,
-    ProtocolOrderError,
-    RngStream,
     Thresholds,
     TraceStats,
     VerdictStatus,
     record_block_traces,
-    sample_slots,
     schedule_blocks,
-    signal_amplitude_for,
     trace_stats,
     verdict,
 )
-from qcsim.verification import (
-    REASON_ANTICORRELATION,
-    REASON_CD,
-    REASON_RMS,
-    TraceOwner,
-)
+from qcsim.verification import REASON_ANTICORRELATION, REASON_CD, REASON_RMS
 
 NOISELESS = DetectorConfig(electronic_noise_var=0.0)
 TANH_0875 = 0.7039056039366212
@@ -63,17 +55,27 @@ def test_record_traces_requires_blocked_frame():
     slots = sample_slots(0.4375, RngStream(64).substream(0), 100)
     with pytest.raises(ProtocolOrderError):
         record_block_traces(
-            _blocked_schedule(3), 1, slots.x1, slots.x2, NOISELESS, RngStream(64)
+            _blocked_schedule(3),
+            np.array([1]),
+            slots.x1[None],
+            slots.x2[None],
+            NOISELESS,
+            RngStream(64),
         )
 
 
 def test_honest_blocked_traces_anticorrelate():
     n = 10_000
     slots = sample_slots(0.4375, RngStream(65).substream(0), n)
-    traces = record_block_traces(
-        _blocked_schedule(0), 0, slots.x1, slots.x2, NOISELESS, RngStream(65).substream(1)
+    alice, bob = record_block_traces(
+        _blocked_schedule(0),
+        np.array([0]),
+        slots.x1[None],
+        slots.x2[None],
+        NOISELESS,
+        RngStream(65).rows([1]),
     )
-    stats = trace_stats(traces.alice, traces.bob)
+    [stats] = trace_stats(alice, bob)
     assert stats.pearson == pytest.approx(-TANH_0875, abs=0.02)
     assert stats.rms_sum / stats.rms_diff == pytest.approx(
         math.exp(-0.875), abs=0.02
@@ -86,15 +88,15 @@ def test_blocked_traces_with_electronic_noise():
     n = 40_000
     noise = 0.4
     slots = sample_slots(0.4375, RngStream(66).substream(0), n)
-    traces = record_block_traces(
+    alice, bob = record_block_traces(
         _blocked_schedule(0),
-        0,
-        slots.x1,
-        slots.x2,
+        np.array([0]),
+        slots.x1[None],
+        slots.x2[None],
         DetectorConfig(electronic_noise_var=noise),
-        RngStream(66).substream(1),
+        RngStream(66).rows([1]),
     )
-    stats = trace_stats(traces.alice, traces.bob)
+    [stats] = trace_stats(alice, bob)
     expected = -math.sinh(0.875) / (math.cosh(0.875) + noise)
     assert stats.pearson == pytest.approx(expected, abs=0.02)
 
@@ -102,10 +104,15 @@ def test_blocked_traces_with_electronic_noise():
 def test_uncorrelated_beams_give_flat_pearson():
     n = 10_000
     slots = sample_slots(0.0, RngStream(67).substream(0), n)
-    traces = record_block_traces(
-        _blocked_schedule(0), 0, slots.x1, slots.x2, NOISELESS, RngStream(67).substream(1)
+    alice, bob = record_block_traces(
+        _blocked_schedule(0),
+        np.array([0]),
+        slots.x1[None],
+        slots.x2[None],
+        NOISELESS,
+        RngStream(67).rows([1]),
     )
-    stats = trace_stats(traces.alice, traces.bob)
+    [stats] = trace_stats(alice, bob)
     assert abs(stats.pearson) < 0.05
     assert stats.rms_sum / stats.rms_diff == pytest.approx(1.0, abs=0.03)
 
@@ -117,29 +124,32 @@ def test_substituted_beam_shows_no_anticorrelation():
         1.0, signal_amplitude_for(0.4375, 0.5), 0.4375, RngStream(69)
     )
     fake_x, _ = eve.substitute(np.array([0]), slots.x1[None], slots.y1[None])
-    traces = record_block_traces(
-        _blocked_schedule(0), 0, fake_x[0], slots.x2, NOISELESS, RngStream(68).substream(1)
+    alice, bob = record_block_traces(
+        _blocked_schedule(0),
+        np.array([0]),
+        fake_x,
+        slots.x2[None],
+        NOISELESS,
+        RngStream(68).rows([1]),
     )
-    stats = trace_stats(traces.alice, traces.bob)
+    [stats] = trace_stats(alice, bob)
     assert abs(stats.pearson) < 0.05
     assert stats.rms_sum / stats.rms_diff == pytest.approx(1.0, abs=0.03)
 
 
 def test_trace_stats_exact_anticorrelation():
-    a = np.array([0.5, -1.0, 2.0, -0.3])
-    alice = FluctuationTrace(TraceOwner.ALICE, 0, a)
-    bob = FluctuationTrace(TraceOwner.BOB, 0, -a)
-    stats = trace_stats(alice, bob)
+    a = np.array([[0.5, -1.0, 2.0, -0.3]])
+    [stats] = trace_stats(a, -a)
     assert stats.pearson == pytest.approx(-1.0)
     assert stats.rms_sum == 0.0
     assert stats.rms_diff > 0.0
 
 
 def test_trace_stats_rejects_mismatched_lengths():
-    alice = FluctuationTrace(TraceOwner.ALICE, 0, np.zeros(10))
-    bob = FluctuationTrace(TraceOwner.BOB, 0, np.zeros(11))
     with pytest.raises(ValueError):
-        trace_stats(alice, bob)
+        trace_stats(np.zeros((1, 10)), np.zeros((1, 11)))
+    with pytest.raises(ValueError):
+        trace_stats(np.zeros(10), np.zeros(10))
 
 
 def test_rms_sum_equals_rms_diff_for_independent_traces():
