@@ -34,7 +34,8 @@ class BitBlock:
             raise DomainError(
                 f"modulation amplitude must be finite and > 0, got {self.amplitude!r}"
             )
-        if not np.isin(self.bits, (0, 1)).all():
+        bits = np.asarray(self.bits)
+        if not ((bits == 0) | (bits == 1)).all():
             raise DomainError("bits must be 0 or 1")
         if self.slot_count < 1:
             raise DomainError(f"slot_count must be >= 1, got {self.slot_count!r}")
@@ -45,7 +46,9 @@ def signal_amplitude_for(r: SqueezeParam, margin: float) -> float:
 
     The power is lower**(1-margin) * upper**margin, the geometric
     interpolation between the window edges; margin 0.5 gives the geometric
-    mean.  Raises HidingWindowError when the window is empty.
+    mean.  Raises HidingWindowError when the window is empty, and
+    SignalBudgetError when a margin near 0 or 1 rounds the power onto or
+    past a window edge, where `encode_bit` would refuse it.
     """
     margin = float(margin)
     if not (math.isfinite(margin) and 0.0 < margin < 1.0):
@@ -56,8 +59,17 @@ def signal_amplitude_for(r: SqueezeParam, margin: float) -> float:
             f"no concealable signal power at r={r:g}; "
             f"requires r > ln(3)/4 ~ {HIDING_THRESHOLD_R:.4f}"
         )
-    power = window.lower ** (1.0 - margin) * window.upper**margin
-    return math.sqrt(power)
+    amplitude = math.sqrt(window.lower ** (1.0 - margin) * window.upper**margin)
+    # The power that `encode_bit` checks is the squared amplitude.
+    power = amplitude * amplitude
+    if not window.contains(power):
+        raise SignalBudgetError(
+            f"margin {margin!r} at r={r:g} rounds the signal power {power!r} "
+            f"onto or past an edge of the hiding window "
+            f"({window.lower!r}, {window.upper!r}); choose a margin farther "
+            f"from 0 and 1"
+        )
+    return amplitude
 
 
 def encode_bit(block: BitBlock, slot: SlotPair, r: SqueezeParam) -> SlotPair:

@@ -93,8 +93,11 @@ class FrameRows:
     A draw of shape (k, frames, *rest) fills frame i's (k, *rest) block with
     exactly what ``RngStream(seed, ids[i]).generator()`` would draw first,
     so batching frames moves no sample.  The rows come from one Philox
-    bit generator per draw, rekeyed to (seed, ids[i]) with counter 0 before
-    each row; that skips the entropy pull of building a fresh generator.
+    bit generator per draw.  Before each row its state is assigned from
+    plain Python ints: key (seed, ids[i]), counter 0 and an empty buffer,
+    the state a fresh ``Philox(key=...)`` starts in.  Setting a state held
+    in ints costs about half of setting one held in NumPy arrays, and
+    skips the entropy pull of building a fresh generator.
     """
 
     def __init__(self, seed: int, ids: np.ndarray):
@@ -109,18 +112,18 @@ class FrameRows:
             )
         # Frame-major, so that each frame's block is one contiguous fill.
         out = np.empty((n_frames, k, *rest))
-        key = np.array([self.seed, 0], dtype=np.uint64)
+        key = [self.seed, 0]
         state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        bit_generator = np.random.Philox(key=key)
+        bit_generator = np.random.Philox(key=0)
         draw = np.random.Generator(bit_generator).standard_normal
-        for row, substream_id in zip(out, self.ids):
+        for row, substream_id in zip(out, self.ids.tolist()):
             key[1] = substream_id
             bit_generator.state = state
             draw(out=row)

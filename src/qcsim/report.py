@@ -37,11 +37,16 @@ def fmt(x: float) -> str:
 def _render(row: str, *columns) -> str:
     """`row % values` for each row of equal-length columns, concatenated.
 
-    One `%` over the `tolist()` values of every row renders each float as
-    `fmt` does, without a Python call per value or per row.
+    One `%` over the interleaved values of every row renders each float as
+    `fmt` does, without a Python call per value or per row.  Array columns
+    go in as their `tolist()` Python floats, and any other sequence (a
+    `range` of row numbers) as it is, so `%d` formats ints, not floats.
     """
-    values = np.column_stack(columns).ravel().tolist()
-    return row * len(columns[0]) % tuple(values)
+    n, k = len(columns[0]), len(columns)
+    values = [None] * (n * k)
+    for i, column in enumerate(columns):
+        values[i::k] = column.tolist() if isinstance(column, np.ndarray) else column
+    return row * n % tuple(values)
 
 
 def _num(x) -> float | None:
@@ -212,7 +217,7 @@ def load_report(path: str | Path) -> RunReport:
 
 def write_trace_csv(path: str | Path, traces: BlockTraces) -> None:
     a, b = traces.alice.samples, traces.bob.samples
-    rows = _render(f"%d,{_FLOAT},{_FLOAT}\n", np.arange(len(a)), a, b)
+    rows = _render(f"%d,{_FLOAT},{_FLOAT}\n", range(len(a)), a, b)
     Path(path).write_text("point,alice,bob\n" + rows)
 
 

@@ -216,6 +216,7 @@ def simulate_frame(
     cfg: SessionConfig,
     frames: np.ndarray,
     schedule: BlockSchedule,
+    sent: np.ndarray,
     bits: np.ndarray,
     amplitude: float,
     noise_var: float,
@@ -225,12 +226,13 @@ def simulate_frame(
 ) -> None:
     """Simulate a chunk of frames end to end, each quantity one row per frame.
 
-    `frames` holds ascending frame indices and `bits` their key bits (any
-    value for blocked frames).  Row f of every random draw comes from frame
-    f's own substream, so the results equal those of simulating the frames
-    one at a time.  The per-frame results are appended to `tally`.
+    `frames` holds ascending frame indices, `sent` whether each one is sent
+    rather than blocked, and `bits` their key bits (any value for blocked
+    frames).  Row f of every random draw comes from frame f's own
+    substream, so the results equal those of simulating the frames one at
+    a time.  The per-frame results are appended to `tally`.
     """
-    blocked = np.isin(frames, list(schedule.blocked))
+    blocked = ~sent
     slots = sample_slots(
         cfg.r, root.rows(frames, _PHASE_EPR), (frames.size, cfg.slots_per_frame)
     )
@@ -264,7 +266,6 @@ def simulate_frame(
         if eve is not None:
             eve.drop(held)
 
-    sent = ~blocked
     if not sent.any():
         return
     sent_frames = frames[sent]
@@ -336,7 +337,16 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
     for start in range(0, cfg.frames, chunk):
         frames = np.arange(start, min(start + chunk, cfg.frames))
         simulate_frame(
-            cfg, frames, schedule, bits[frames], amplitude, noise_var, root, eve, tally
+            cfg,
+            frames,
+            schedule,
+            sent[frames],
+            bits[frames],
+            amplitude,
+            noise_var,
+            root,
+            eve,
+            tally,
         )
 
     cd_summary = None

@@ -223,6 +223,19 @@ def test_run_never_raises_on_any_config(tmp_path, sections):
     assert code in (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("r, margin", [(0.4375, 1e-17), (60.0, 1e-300)])
+def test_run_names_margin_that_rounds_onto_window_edge(tmp_path, capsys, r, margin):
+    config = _write(
+        tmp_path,
+        "edge.ini",
+        f"[session]\nr = {r!r}\nmargin = {margin!r}\nkey_bits = 10\nseed = 3\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    assert f"margin {margin!r} at r={r:g}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_subthreshold_correlation(tmp_path, capsys):
     config = _write(
         tmp_path,

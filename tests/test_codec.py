@@ -27,10 +27,18 @@ def test_symbol_requires_positive_amplitude():
 
 def test_frame_bit_symbol_consistency():
     BitBlock(np.array([1, 0]), 1.0, 4)
+    BitBlock(np.array([True, False]), 1.0, 4)
+    BitBlock(np.array([1.0, 0.0]), 1.0, 4)
     with pytest.raises(DomainError):
         BitBlock(np.array([1, 2]), 1.0, 4)
     with pytest.raises(DomainError):
         BitBlock(np.array([1]), 1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+def test_bit_block_rejects_non_binary_bits(bad):
+    with pytest.raises(DomainError, match="bits must be 0 or 1"):
+        BitBlock(np.array([0, 1, bad]), 1.0, 4)
 
 
 def test_symbol_for_bit_mapping():
@@ -108,6 +116,14 @@ def test_amplitude_near_degenerate_window():
 def test_amplitude_requires_open_window():
     with pytest.raises(HidingWindowError):
         signal_amplitude_for(0.2, 0.5)
+
+
+@pytest.mark.parametrize("r, margin", [(0.4375, 1e-17), (60.0, 1e-300)])
+def test_amplitude_rejects_margin_rounding_onto_window_edge(r, margin):
+    # A valid margin this near 0 rounds s**2 onto or below the lower edge,
+    # where encode_bit would refuse it; the error names the margin.
+    with pytest.raises(SignalBudgetError, match=f"margin {margin!r} at r={r:g}"):
+        signal_amplitude_for(r, margin)
 
 
 @pytest.mark.parametrize("margin", [0.0, 1.0, -0.5, 1.5, float("nan")])

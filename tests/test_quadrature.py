@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcsim.errors import DomainError
@@ -243,6 +243,10 @@ def test_expected_sum_variance_limits():
     k=st.integers(min_value=1, max_value=4),
     rest=st.lists(st.integers(min_value=0, max_value=9), max_size=2),
 )
+# The top of both key words: seed -1 and 2**64 - 1 mask to the largest key,
+# and a frame index and phase of 2**32 - 1 make the largest substream id.
+@example(seed=-1, phase=2**32 - 1, frames=[2**32 - 1, 0], k=2, rest=[3])
+@example(seed=2**64 - 1, phase=2**32 - 1, frames=[0, 2**32 - 1], k=1, rest=[5])
 def test_frame_rows_draw_what_each_substream_draws(seed, phase, frames, k, rest):
     # Seeds outside [0, 2**64) and indices or phases past 32 bits are
     # masked by RngStream; the batched rows must mask them the same way.
