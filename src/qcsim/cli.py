@@ -7,6 +7,7 @@ with an eavesdropper suspected, 3 aborted with no key material.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,8 +16,8 @@ import numpy as np
 
 from .adversary import ATTACK_SWEEPS, swept_attack
 from .codec import signal_amplitude_for
-from .config import SpectrumSettings, load_config
-from .detection import SpectralSignal, bell_measure, correlation_degree, spectrum
+from .config import load_config
+from .detection import bell_measure, correlation_degree, spectrum
 from .errors import ConfigError, HidingWindowError, SimulationError
 from .quadrature import RngStream, apply_loss, sample_slots
 from .report import (
@@ -46,6 +47,9 @@ _PHASE_PROBE = 1001
 SESSION_SWEEPS = {"r": "r", "eta": "eta_out", "margin": "margin"}
 
 SWEEP_PARAMS = (*SESSION_SWEEPS, *ATTACK_SWEEPS)
+
+#: Most points a sweep grid may hold.
+MAX_GRID_POINTS = 1000
 
 # Sweep point i, session k runs at seed + stride*(i+1) + k; more sessions per
 # point than the stride would reuse seeds of the next point.
@@ -115,25 +119,29 @@ def main(argv=None) -> int:
 def _cmd_run(args) -> int:
     cfg, spectrum_cfg = load_config(args.config, seed_override=args.seed)
     transcript = run_session(cfg)
-    # Before any file is written, so that invalid spectrum settings leave no
-    # partial output.
-    spectrum = None
-    if args.spectrum:
-        spectrum = _session_spectrum(cfg, spectrum_cfg, transcript)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     trace_files = []
     for traces in transcript.traces:
-        name = f"trace_frame_{traces.alice.frame_index:04d}.csv"
+        name = f"trace_frame_{traces.frame:04d}.csv"
         write_trace_csv(out_dir / name, traces)
         trace_files.append(name)
 
     spectrum_file = None
-    if spectrum is not None:
+    if args.spectrum:
         spectrum_file = "spectrum.csv"
-        write_spectrum_csv(out_dir / spectrum_file, spectrum)
+        write_spectrum_csv(
+            out_dir / spectrum_file,
+            spectrum(
+                cfg.r,
+                spectrum_cfg,
+                cfg.detector,
+                RngStream(cfg.seed).substream(0, _PHASE_SPECTRUM),
+                transcript.signal_amplitude**2,
+            ),
+        )
 
     report = build_run_report(transcript, tuple(trace_files), spectrum_file)
     write_report(out_dir / "report.json", report)
@@ -154,23 +162,6 @@ def _cmd_run(args) -> int:
     return ABORT_EXIT_CODES[transcript.outcome.reason]
 
 
-def _session_spectrum(cfg: SessionConfig, settings: SpectrumSettings, transcript):
-    signal = SpectralSignal(
-        freq_hz=settings.signal_freq_hz,
-        power=transcript.signal_amplitude**2,
-        quadrature=settings.signal_quadrature,
-    )
-    return spectrum(
-        cfg.r,
-        (settings.span_low_hz, settings.span_high_hz),
-        settings.rbw_hz,
-        settings.averages,
-        cfg.detector,
-        RngStream(cfg.seed).substream(0, _PHASE_SPECTRUM),
-        signal=signal,
-    )
-
-
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -179,16 +170,18 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"grid values must be numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"grid values must be finite, got {text!r}")
     if step <= 0.0:
         raise ConfigError(f"grid step must be > 0, got {step!r}")
     values = []
-    k = 0
-    while True:
+    for k in range(MAX_GRID_POINTS + 1):
         v = start + k * step
         if v > stop + 1e-12:
             break
         values.append(v)
-        k += 1
+    else:
+        raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     if not values:
         raise ConfigError(f"grid {text!r} contains no points")
     return values

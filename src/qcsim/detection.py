@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import FrameRows, Quadrature, RngStream
+from .quadrature import FrameRows, Quadrature, RngStream, _check_r
 
 #: Shot-noise limit of a joint two-beam measurement, in shot-noise units.
 TWO_BEAM_SNL = 2.0
@@ -100,16 +100,39 @@ def db_below_snl(var):
 
 
 @dataclass(frozen=True)
-class SpectralSignal:
-    """A modulation tone to place on the traces; power is the displacement s**2.
+class SpectrumSettings:
+    """The spectrum analyzer's span, resolution bandwidth and averaging, and
+    where the modulation tone sits.
 
-    Both quadratures produce statistically identical traces, so the choice
-    only labels which joint output would carry the tone.
+    Both quadratures produce statistically identical traces, so
+    `signal_quadrature` only labels which joint output would carry the tone.
     """
 
-    freq_hz: float
-    power: float
-    quadrature: Quadrature = Quadrature.X
+    span_low_hz: float = 1.0e6
+    span_high_hz: float = 3.0e6
+    rbw_hz: float = 30.0e3
+    averages: int = 100
+    signal_freq_hz: float = 2.0e6
+    signal_quadrature: Quadrature = Quadrature.X
+
+    def __post_init__(self):
+        lo, hi = self.span_low_hz, self.span_high_hz
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DomainError(
+                f"span must be a non-empty finite interval, got ({lo!r}, {hi!r})"
+            )
+        if not (math.isfinite(self.rbw_hz) and 0.0 < self.rbw_hz <= hi - lo):
+            raise DomainError(
+                f"rbw_hz must lie in (0, span], got {self.rbw_hz!r} "
+                f"for a span of {hi - lo:g} Hz"
+            )
+        if self.averages < 1:
+            raise DomainError(f"averages must be >= 1, got {self.averages!r}")
+        if not lo <= self.signal_freq_hz <= hi:
+            raise DomainError(
+                f"signal_freq_hz {self.signal_freq_hz!r} lies outside the span "
+                f"({lo:g}, {hi:g}) Hz"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,66 +143,40 @@ class NoiseSpectrum:
     snl_db: np.ndarray
     single_beam_db: np.ndarray
     correlation_db: np.ndarray
-    rbw_hz: float
-    span_hz: tuple[float, float]
 
 
 def spectrum(
-    r,
-    span_hz,
-    rbw_hz: float,
-    averages: int,
-    cfg: DetectorConfig,
+    r: float,
+    settings: SpectrumSettings,
+    detector: DetectorConfig,
     rng: RngStream,
-    signal: SpectralSignal | None = None,
+    signal_power: float | None = None,
 ) -> NoiseSpectrum:
-    """Emulate spectrum-analyzer traces over a frequency span.
+    """Emulate spectrum-analyzer traces over the settings' span.
 
-    Bins sit at span start + k*rbw.  `r` is a scalar or one value per bin
-    (frequency-dependent correlation).  Per bin, three powers are estimated:
+    Bins sit at span start + k*rbw.  Per bin, three powers are estimated:
     the shot-noise reference (0 dB by normalization), the single-beam noise
     (cosh 2r + signal)/2, and the correlation noise
     (2e^-2r + signal + electronic)/2.  Each estimate carries the
     multiplicative jitter of an `averages`-batch variance estimate,
-    chi2(averages)/averages.  A signal tone is snapped to the nearest bin
-    center and contributes to exactly one bin.
+    chi2(averages)/averages.  A tone of `signal_power` (the displacement
+    s**2) is snapped to the bin center nearest `signal_freq_hz` and
+    contributes to exactly one bin.
     """
-    lo, hi = (float(span_hz[0]), float(span_hz[1]))
-    rbw_hz = float(rbw_hz)
-    averages = int(averages)
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise DomainError(f"span must be a non-empty interval, got ({lo!r}, {hi!r})")
-    if not (math.isfinite(rbw_hz) and rbw_hz > 0.0):
-        raise DomainError(f"resolution bandwidth must be > 0, got {rbw_hz!r}")
-    if rbw_hz > hi - lo:
-        raise DomainError(
-            f"resolution bandwidth {rbw_hz:g} Hz exceeds the span {hi - lo:g} Hz"
-        )
-    if averages < 1:
-        raise DomainError(f"averages must be >= 1, got {averages}")
-
+    lo, hi, rbw_hz = settings.span_low_hz, settings.span_high_hz, settings.rbw_hz
     n_bins = int(math.floor((hi - lo) / rbw_hz + 1e-9)) + 1
     freqs = lo + rbw_hz * np.arange(n_bins)
-
-    r_bins = np.broadcast_to(np.asarray(r, dtype=float), (n_bins,)).copy()
-    if not (np.all(np.isfinite(r_bins)) and np.all(r_bins >= 0.0)):
-        raise DomainError("per-bin correlation parameters must be finite and >= 0")
+    r_bins = np.full(n_bins, _check_r(r))
 
     sig_power = np.zeros(n_bins)
-    if signal is not None:
-        if not lo <= signal.freq_hz <= hi:
-            raise DomainError(
-                f"signal frequency {signal.freq_hz:g} Hz outside span "
-                f"({lo:g}, {hi:g}) Hz"
-            )
-        if not signal.power > 0.0:
-            raise DomainError(f"signal power must be > 0, got {signal.power!r}")
-        bin_index = min(int(round((signal.freq_hz - lo) / rbw_hz)), n_bins - 1)
-        sig_power[bin_index] = signal.power
+    if signal_power is not None:
+        tone = round((settings.signal_freq_hz - lo) / rbw_hz)
+        sig_power[min(int(tone), n_bins - 1)] = signal_power
 
     c = np.cosh(2.0 * r_bins)
-    corr_floor = 2.0 * np.exp(-2.0 * r_bins) + cfg.electronic_noise_var
+    corr_floor = 2.0 * np.exp(-2.0 * r_bins) + detector.electronic_noise_var
 
+    averages = settings.averages
     jitter = rng.generator().chisquare(averages, size=(3, n_bins)) / averages
     snl_db = 10.0 * np.log10(jitter[0])
     single_beam_db = 10.0 * np.log10((c + sig_power) * jitter[1] / TWO_BEAM_SNL)
@@ -191,6 +188,4 @@ def spectrum(
         snl_db=snl_db,
         single_beam_db=single_beam_db,
         correlation_db=correlation_db,
-        rbw_hz=rbw_hz,
-        span_hz=(lo, hi),
     )

@@ -112,7 +112,7 @@ def transcript_to_dict(transcript: SessionTranscript) -> dict:
         "cd": cd,
         "trace_stats": [
             {
-                "frame": traces.alice.frame_index,
+                "frame": traces.frame,
                 "pearson": _num(stats.pearson),
                 "rms_sum": _num(stats.rms_sum),
                 "rms_diff": _num(stats.rms_diff),
@@ -121,9 +121,9 @@ def transcript_to_dict(transcript: SessionTranscript) -> dict:
         ],
         "traces": [
             {
-                "frame": traces.alice.frame_index,
-                "alice": _render(_LINE, traces.alice.samples).splitlines(),
-                "bob": _render(_LINE, traces.bob.samples).splitlines(),
+                "frame": traces.frame,
+                "alice": _render(_LINE, traces.alice).splitlines(),
+                "bob": _render(_LINE, traces.bob).splitlines(),
             }
             for traces in t.traces
         ],
@@ -216,7 +216,7 @@ def load_report(path: str | Path) -> RunReport:
 
 
 def write_trace_csv(path: str | Path, traces: BlockTraces) -> None:
-    a, b = traces.alice.samples, traces.bob.samples
+    a, b = traces.alice, traces.bob
     rows = _render(f"%d,{_FLOAT},{_FLOAT}\n", range(len(a)), a, b)
     Path(path).write_text("point,alice,bob\n" + rows)
 

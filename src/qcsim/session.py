@@ -33,12 +33,9 @@ from .quadrature import (
     sample_slots,
 )
 from .verification import (
-    BlockSchedule,
     BlockTraces,
     CdSummary,
-    FluctuationTrace,
     Thresholds,
-    TraceOwner,
     TraceStats,
     Verdict,
     VerdictStatus,
@@ -79,7 +76,7 @@ class SessionConfig:
     attack: AttackSpec = NoAttack()
     thresholds: Thresholds = Thresholds()
 
-    def validate(self) -> None:
+    def __post_init__(self):
         try:
             _check_r(self.r)
         except DomainError as exc:
@@ -133,7 +130,6 @@ class KeyComparison:
 class SessionTranscript:
     config: SessionConfig
     signal_amplitude: float
-    schedule: BlockSchedule
     sent_bits: str
     decoded_bits: str
     confidences: tuple[float, ...]
@@ -147,19 +143,15 @@ class SessionTranscript:
     eve: EveRecord | None = None
 
 
-def _pooled_residual_cd(residual_ss: list[float], slots_per_frame: int) -> float | None:
+def _pooled_residual_cd(residual_ss: list[float], slots_per_frame: int) -> float:
     """Correlation degree of the noise floor pooled over frames, from each
-    frame's sum of squared residuals about its block mean.
+    frame's (at least one) sum of squared residuals about its block mean.
 
     Subtracting the block mean (the modulation displacement) leaves the
     fluctuation variance only; degrees of freedom drop by one per frame.
     """
-    if not residual_ss:
-        return None
     k = len(residual_ss)
     n = k * slots_per_frame
-    if n - k < 1:
-        return None
     # A sequential sum over frames, in frame order.
     return db_below_snl(sum(residual_ss) / (n - k))
 
@@ -215,8 +207,7 @@ class _Tally:
 def simulate_frame(
     cfg: SessionConfig,
     frames: np.ndarray,
-    schedule: BlockSchedule,
-    sent: np.ndarray,
+    blocked: np.ndarray,
     bits: np.ndarray,
     amplitude: float,
     noise_var: float,
@@ -226,13 +217,14 @@ def simulate_frame(
 ) -> None:
     """Simulate a chunk of frames end to end, each quantity one row per frame.
 
-    `frames` holds ascending frame indices, `sent` whether each one is sent
-    rather than blocked, and `bits` their key bits (any value for blocked
+    `frames` holds ascending frame indices; `blocked` and `bits` are the
+    session's blocked-frame mask and key bits (any value for blocked
     frames).  Row f of every random draw comes from frame f's own
     substream, so the results equal those of simulating the frames one at
     a time.  The per-frame results are appended to `tally`.
     """
-    blocked = ~sent
+    held_rows = blocked[frames]
+    sent = ~held_rows
     slots = sample_slots(
         cfg.r, root.rows(frames, _PHASE_EPR), (frames.size, cfg.slots_per_frame)
     )
@@ -245,23 +237,17 @@ def simulate_frame(
     if eve is not None:
         sig_x, sig_y = eve.substitute(frames, sig_x, sig_y)
 
-    if blocked.any():
-        held = frames[blocked]
+    if held_rows.any():
+        held = frames[held_rows]
         alice, bob = record_block_traces(
-            schedule,
+            blocked,
             held,
-            sig_x[blocked],
-            idler_x[blocked],
+            sig_x[held_rows],
+            idler_x[held_rows],
             cfg.detector,
             root.rows(held, _PHASE_SCOPES),
         )
-        tally.traces.extend(
-            BlockTraces(
-                alice=FluctuationTrace(TraceOwner.ALICE, f, a),
-                bob=FluctuationTrace(TraceOwner.BOB, f, b),
-            )
-            for f, a, b in zip(held.tolist(), alice, bob)
-        )
+        tally.traces.extend(map(BlockTraces, held.tolist(), alice, bob))
         tally.trace_stats.extend(trace_stats(alice, bob))
         if eve is not None:
             eve.drop(held)
@@ -271,7 +257,7 @@ def simulate_frame(
     sent_frames = frames[sent]
     idler_x, idler_y = idler_x[sent], idler_y[sent]
     encoded = encode_bit(
-        BitBlock(bits[sent], amplitude, cfg.slots_per_frame),
+        BitBlock(bits[sent_frames], amplitude, cfg.slots_per_frame),
         SlotPair(sig_x[sent], sig_y[sent], idler_x, idler_y),
         cfg.r,
     )
@@ -309,7 +295,6 @@ def simulate_frame(
 
 def run_session(cfg: SessionConfig) -> SessionTranscript:
     """Run a full session; the transcript is a pure function of the config."""
-    cfg.validate()
     # Sizes the signal before any simulation; raises when the hiding window
     # at cfg.r is empty.
     amplitude = signal_amplitude_for(cfg.r, cfg.margin)
@@ -319,15 +304,14 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
     )
 
     root = RngStream(cfg.seed)
-    schedule = schedule_blocks(
+    blocked = schedule_blocks(
         cfg.frames, cfg.block_prob, root.substream(0, _PHASE_BLOCKS)
     )
 
     eve = cfg.attack.begin(amplitude, cfg.r, RngStream(cfg.seed ^ _EVE_SEED_SALT))
 
     # Key bits cycle over the unblocked frames.
-    sent = np.ones(cfg.frames, dtype=bool)
-    sent[list(schedule.blocked)] = False
+    sent = ~blocked
     key = np.array([int(b) for b in cfg.key_bits])
     bits = np.zeros(cfg.frames, dtype=int)
     bits[sent] = key[np.arange(np.count_nonzero(sent)) % key.size]
@@ -339,9 +323,8 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
         simulate_frame(
             cfg,
             frames,
-            schedule,
-            sent[frames],
-            bits[frames],
+            blocked,
+            bits,
             amplitude,
             noise_var,
             root,
@@ -350,12 +333,14 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
         )
 
     cd_summary = None
-    plus_db = _pooled_residual_cd(tally.residual_ss_plus, cfg.slots_per_frame)
-    minus_db = _pooled_residual_cd(tally.residual_ss_minus, cfg.slots_per_frame)
-    if plus_db is not None and minus_db is not None:
+    if tally.residual_ss_plus:
         cd_summary = CdSummary(
-            measured_plus_db=plus_db,
-            measured_minus_db=minus_db,
+            measured_plus_db=_pooled_residual_cd(
+                tally.residual_ss_plus, cfg.slots_per_frame
+            ),
+            measured_minus_db=_pooled_residual_cd(
+                tally.residual_ss_minus, cfg.slots_per_frame
+            ),
             expected_db=db_below_snl(noise_var),
         )
 
@@ -368,11 +353,10 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
     return SessionTranscript(
         config=cfg,
         signal_amplitude=amplitude,
-        schedule=schedule,
         sent_bits=sent_bits,
         decoded_bits=decoded_bits,
         confidences=tuple(tally.confidences),
-        blocked_frames=tuple(sorted(schedule.blocked)),
+        blocked_frames=tuple(np.flatnonzero(blocked).tolist()),
         traces=tuple(tally.traces),
         trace_stats=stats,
         frame_cd=tuple(tally.frame_cd),

@@ -20,55 +20,30 @@ from .errors import DomainError, ProtocolOrderError
 from .quadrature import FrameRows, RngStream, SqueezeParam, _check_r
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
-    """Frames the sender interrupts; drawn from her private randomness."""
-
-    blocked: frozenset[int]
-    block_prob: float
-    n_frames: int
-
-
-def schedule_blocks(n_frames: int, block_prob: float, rng: RngStream) -> BlockSchedule:
-    """Block each frame independently with probability block_prob."""
+def schedule_blocks(n_frames: int, block_prob: float, rng: RngStream) -> np.ndarray:
+    """Frames the sender interrupts, drawn from the sender's private
+    randomness: a boolean mask that blocks each frame independently with
+    probability block_prob."""
     n_frames = int(n_frames)
     block_prob = float(block_prob)
     if n_frames < 0:
         raise DomainError(f"frame count must be >= 0, got {n_frames}")
     if not (math.isfinite(block_prob) and 0.0 <= block_prob <= 1.0):
         raise DomainError(f"block probability must lie in [0, 1], got {block_prob!r}")
-    if n_frames == 0:
-        return BlockSchedule(frozenset(), block_prob, 0)
-    mask = rng.generator().random(n_frames) < block_prob
-    return BlockSchedule(
-        blocked=frozenset(int(i) for i in np.flatnonzero(mask)),
-        block_prob=block_prob,
-        n_frames=n_frames,
-    )
-
-
-class TraceOwner(Enum):
-    ALICE = "alice"
-    BOB = "bob"
-
-
-@dataclass(frozen=True)
-class FluctuationTrace:
-    """One party's trace of a blocked frame."""
-
-    owner: TraceOwner
-    frame_index: int
-    samples: np.ndarray
+    return rng.generator().random(n_frames) < block_prob
 
 
 @dataclass(frozen=True)
 class BlockTraces:
-    alice: FluctuationTrace
-    bob: FluctuationTrace
+    """Both parties' traces of one blocked frame."""
+
+    frame: int
+    alice: np.ndarray
+    bob: np.ndarray
 
 
 def record_block_traces(
-    schedule: BlockSchedule,
+    blocked: np.ndarray,
     frames: np.ndarray,
     sender_beam_x: np.ndarray,
     idler_x: np.ndarray,
@@ -78,15 +53,16 @@ def record_block_traces(
     """Record both parties' oscilloscope traces of blocked frames, given one
     row of samples per frame; returns the (alice, bob) trace arrays.
 
-    The sender sees the amplitude quadrature of whatever beam reached her;
-    the receiver's signal port is dark, so his trace is the retained idler's
+    `blocked` is the session's blocked-frame mask.  The sender sees the
+    amplitude quadrature of whatever beam arrived; the receiver's signal
+    port is dark, so the receiver's trace is the retained idler's
     amplitude quadrature.  Each trace gains the recording detector's
     electronic noise.
     """
-    unblocked = set(frames.tolist()) - schedule.blocked
-    if unblocked:
+    unblocked = frames[~blocked[frames]]
+    if unblocked.size:
         raise ProtocolOrderError(
-            f"frame {min(unblocked)} is not blocked; traces are recorded only "
+            f"frame {unblocked.min()} is not blocked; traces are recorded only "
             f"while the beam is interrupted"
         )
     a, b = sender_beam_x, idler_x
@@ -143,12 +119,14 @@ class Thresholds:
     rms_ratio: float | None = None
     cd_margin_db: float = 0.5
 
-    def resolve(self, r: SqueezeParam) -> "Thresholds":
-        r = _check_r(r)
+    def __post_init__(self):
         if not (math.isfinite(self.cd_margin_db) and self.cd_margin_db > 0.0):
             raise DomainError(
                 f"cd margin must be > 0 dB, got {self.cd_margin_db!r}"
             )
+
+    def resolve(self, r: SqueezeParam) -> "Thresholds":
+        r = _check_r(r)
         pearson = self.pearson
         if pearson is None:
             # Half the anticorrelation an honest lossless source would show.

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qcsim.adversary import ATTACKS, Tap
-from qcsim.cli import _apply_sweep_param, main
+from qcsim.cli import MAX_GRID_POINTS, _apply_sweep_param, _parse_grid, main
 from qcsim.config import load_config
 from qcsim.errors import ConfigError
 from qcsim.quadrature import R_MAX
@@ -571,6 +571,59 @@ def test_sweep_rejects_empty_grid(tmp_path):
         ]
     )
     assert code == 1
+
+
+def _no_session(cfg):
+    raise AssertionError("a session ran")
+
+
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        ("nan:1:0.1", "finite"),
+        ("0:inf:1", "finite"),
+        ("0:1:inf", "finite"),
+        ("0:1:1e-300", f"more than {MAX_GRID_POINTS} points"),
+    ],
+)
+def test_sweep_rejects_unbounded_grid_before_any_session(
+    tmp_path, capsys, monkeypatch, grid, named
+):
+    import qcsim.cli as cli
+
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    config = _write(tmp_path, "sweep.ini", SIX_BIT_CONFIG)
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--config", config, "--param", "tau", "--grid", grid,
+            "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "grid" in err and named in err
+    assert not out.exists()
+
+
+def test_grid_values_are_start_plus_k_steps_up_to_the_cap():
+    assert _parse_grid("0:0.5:0.1") == [0.0 + k * 0.1 for k in range(6)]
+    assert _parse_grid(f"1:{MAX_GRID_POINTS}:1") == [
+        1.0 + k for k in range(MAX_GRID_POINTS)
+    ]
+    with pytest.raises(ConfigError, match="points"):
+        _parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+
+@pytest.mark.parametrize("margin", ["0", "-1"])
+def test_run_rejects_non_positive_cd_margin_before_simulating(
+    tmp_path, capsys, monkeypatch, margin
+):
+    import qcsim.cli as cli
+
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    text = f"{SIX_BIT_CONFIG}[thresholds]\ncd_margin_db = {margin}\n"
+    config = _write(tmp_path, "margin.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    assert "[thresholds] cd margin must be > 0 dB" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(tmp_path):

@@ -11,8 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcsim.config import SpectrumSettings, load_config
-from qcsim.detection import DEFAULT_ELECTRONIC_NOISE_VAR, DetectorConfig
+from qcsim.config import load_config
+from qcsim.detection import (
+    DEFAULT_ELECTRONIC_NOISE_VAR,
+    DetectorConfig,
+    SpectrumSettings,
+)
 from qcsim.quadrature import Quadrature
 from qcsim.session import SessionConfig
 from qcsim.verification import Thresholds
@@ -24,6 +28,7 @@ REQUIRED = object()
 
 UNIT = st.floats(0.0, 1.0)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 QUADRATURES = st.sampled_from(Quadrature)
 
 # section -> key -> (values the parser must accept, default when blank).
@@ -45,7 +50,7 @@ SCHEMA = {
     "thresholds": {
         "pearson": (st.none() | FINITE, None),
         "rms_ratio": (st.none() | FINITE, None),
-        "cd_margin_db": (FINITE, 0.5),
+        "cd_margin_db": (POSITIVE, 0.5),
     },
     # Each key's domain keeps every mix with the other keys' defaults a
     # valid span: low <= 1 MHz < 3 MHz <= high, a resolution bandwidth
@@ -187,6 +192,14 @@ def test_blank_value_gives_the_default(tmp_path, section, key, kind):
     path = tmp_path / "blank.ini"
     path.write_text(_ini(sections))
     assert load_config(path) == _expected({"session": BASE}, kind)
+
+
+@pytest.mark.parametrize("margin", ["0", "-1"])
+def test_load_config_rejects_non_positive_cd_margin(tmp_path, margin):
+    path = tmp_path / "margin.ini"
+    path.write_text(_ini({"session": BASE, "thresholds": {"cd_margin_db": margin}}))
+    with pytest.raises(ConfigError, match=r"^\[thresholds\] cd margin must be > 0 dB"):
+        load_config(path)
 
 
 def test_required_keys_have_no_default(tmp_path):

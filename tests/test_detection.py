@@ -7,7 +7,7 @@ from qcsim.detection import (
     DEFAULT_ELECTRONIC_NOISE_VAR,
     DetectorConfig,
     JointMeasurement,
-    SpectralSignal,
+    SpectrumSettings,
     bell_measure,
     correlation_degree,
     spectrum,
@@ -110,10 +110,11 @@ def test_correlation_degree_needs_two_samples():
         correlation_degree(JointMeasurement(np.array([1.0]), np.array([0.5])))
 
 
+SETTINGS = SpectrumSettings()
+
+
 def test_spectrum_bin_layout():
-    spec = spectrum(
-        0.4375, (1.0e6, 3.0e6), 30.0e3, 100, NOISELESS, RngStream(30).substream(0)
-    )
+    spec = spectrum(0.4375, SETTINGS, NOISELESS, RngStream(30).substream(0))
     assert spec.freq_hz.size == 67
     assert spec.freq_hz[0] == 1.0e6
     assert spec.freq_hz[-1] == pytest.approx(2.98e6)
@@ -121,16 +122,13 @@ def test_spectrum_bin_layout():
 
 
 def test_spectrum_signal_occupies_exactly_one_bin():
-    signal = SpectralSignal(freq_hz=2.0e6, power=1.0)
     averages = 800
     spec = spectrum(
         1.0,
-        (1.0e6, 3.0e6),
-        30.0e3,
-        averages,
+        SpectrumSettings(averages=averages, signal_freq_hz=2.0e6),
         NOISELESS,
         RngStream(31).substream(0),
-        signal=signal,
+        signal_power=1.0,
     )
     # Nearest bin to 2 MHz on the 1.0 + 0.03k MHz ladder is 1.99 MHz.
     peak_bin = int(np.argmax(spec.correlation_db))
@@ -146,7 +144,10 @@ def test_spectrum_signal_occupies_exactly_one_bin():
 def test_spectrum_flat_at_r0_without_signal():
     averages = 800
     spec = spectrum(
-        0.0, (1.0e6, 3.0e6), 30.0e3, averages, NOISELESS, RngStream(32).substream(0)
+        0.0,
+        SpectrumSettings(averages=averages),
+        NOISELESS,
+        RngStream(32).substream(0),
     )
     jitter_db = 3.0 * (10.0 / math.log(10.0)) * math.sqrt(2.0 / averages)
     assert np.all(np.abs(spec.snl_db) < jitter_db)
@@ -159,17 +160,11 @@ def test_spectrum_flat_at_r0_without_signal():
 def test_spectrum_correlation_excess_dominates_single_beam_excess():
     # The decoded signal stands proud of the squeezed floor while staying
     # small against the single-beam noise.
-    signal = SpectralSignal(freq_hz=2.0e6, power=1.0)
+    settings = SpectrumSettings(averages=2000, signal_freq_hz=2.0e6)
     spec = spectrum(
-        1.0,
-        (1.0e6, 3.0e6),
-        30.0e3,
-        2000,
-        NOISELESS,
-        RngStream(33).substream(0),
-        signal=signal,
+        1.0, settings, NOISELESS, RngStream(33).substream(0), signal_power=1.0
     )
-    bin_index = int(np.round((signal.freq_hz - 1.0e6) / 30.0e3))
+    bin_index = int(np.round((settings.signal_freq_hz - 1.0e6) / 30.0e3))
     corr_floor = np.median(np.delete(spec.correlation_db, bin_index))
     single_floor = np.median(np.delete(spec.single_beam_db, bin_index))
     corr_excess = spec.correlation_db[bin_index] - corr_floor
@@ -181,50 +176,23 @@ def test_spectrum_correlation_excess_dominates_single_beam_excess():
     )
 
 
-def test_spectrum_accepts_per_bin_r_profile():
-    n_bins = 67
-    profile = np.linspace(0.3, 1.2, n_bins)
-    spec = spectrum(
-        profile, (1.0e6, 3.0e6), 30.0e3, 400, NOISELESS, RngStream(34).substream(0)
-    )
-    # Stronger correlation at higher bins pushes the trace further down.
-    assert np.mean(spec.correlation_db[-10:]) < np.mean(spec.correlation_db[:10])
-    with pytest.raises(ValueError):
-        spectrum(
-            np.ones(10), (1.0e6, 3.0e6), 30.0e3, 400, NOISELESS, RngStream(34)
-        )
-
-
 def test_spectrum_input_validation():
-    stream = RngStream(35)
-    with pytest.raises(DomainError):
-        spectrum(1.0, (3.0e6, 1.0e6), 30.0e3, 10, NOISELESS, stream)
-    with pytest.raises(DomainError):
-        spectrum(1.0, (1.0e6, 3.0e6), 0.0, 10, NOISELESS, stream)
-    with pytest.raises(DomainError):
-        spectrum(1.0, (1.0e6, 1.1e6), 0.5e6, 10, NOISELESS, stream)
-    with pytest.raises(DomainError):
-        spectrum(1.0, (1.0e6, 3.0e6), 30.0e3, 0, NOISELESS, stream)
-    with pytest.raises(DomainError):
-        spectrum(
-            1.0,
-            (1.0e6, 3.0e6),
-            30.0e3,
-            10,
-            NOISELESS,
-            stream,
-            signal=SpectralSignal(5.0e6, 1.0),
+    with pytest.raises(DomainError, match="span"):
+        SpectrumSettings(span_low_hz=3.0e6, span_high_hz=1.0e6)
+    with pytest.raises(DomainError, match="rbw_hz"):
+        SpectrumSettings(rbw_hz=0.0, averages=10)
+    with pytest.raises(DomainError, match="rbw_hz"):
+        SpectrumSettings(
+            span_low_hz=1.0e6, span_high_hz=1.1e6, rbw_hz=0.5e6, signal_freq_hz=1.0e6
         )
+    with pytest.raises(DomainError, match="averages"):
+        SpectrumSettings(averages=0)
+    with pytest.raises(DomainError, match="signal_freq_hz"):
+        SpectrumSettings(averages=10, signal_freq_hz=5.0e6)
 
 
 def test_spectrum_deterministic_under_stream():
-    kwargs = dict(
-        r=1.0,
-        span_hz=(1.0e6, 3.0e6),
-        rbw_hz=30.0e3,
-        averages=50,
-        cfg=NOISELESS,
-    )
+    kwargs = dict(r=1.0, settings=SpectrumSettings(averages=50), detector=NOISELESS)
     a = spectrum(rng=RngStream(36).substream(0), **kwargs)
     b = spectrum(rng=RngStream(36).substream(0), **kwargs)
     assert np.array_equal(a.snl_db, b.snl_db)

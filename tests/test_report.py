@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qcsim.detection import NoiseSpectrum
 from qcsim.report import write_spectrum_csv, write_trace_csv
-from qcsim.verification import BlockTraces, FluctuationTrace, TraceOwner
+from qcsim.verification import BlockTraces
 
 # Signed zeros, subnormals, the float extremes, non-finite values, and
 # values on either side of %g's switches between fixed and exponent
@@ -63,20 +63,14 @@ WRITER_SETTINGS = settings(
 def test_trace_csv_matches_row_by_row_rendering(tmp_path, cols):
     a, b = cols
     path = tmp_path / "trace.csv"
-    write_trace_csv(
-        path,
-        BlockTraces(
-            alice=FluctuationTrace(TraceOwner.ALICE, 3, a),
-            bob=FluctuationTrace(TraceOwner.BOB, 3, b),
-        ),
-    )
+    write_trace_csv(path, BlockTraces(3, a, b))
     assert path.read_text() == row_by_row_trace_csv(a, b)
 
 
 @WRITER_SETTINGS
 @given(cols=columns(4))
 def test_spectrum_csv_matches_row_by_row_rendering(tmp_path, cols):
-    spectrum = NoiseSpectrum(*cols, rbw_hz=1.0, span_hz=(0.0, 1.0))
+    spectrum = NoiseSpectrum(*cols)
     path = tmp_path / "spectrum.csv"
     write_spectrum_csv(path, spectrum)
     assert path.read_text() == row_by_row_spectrum_csv(spectrum)

@@ -93,9 +93,9 @@ def test_idler_is_never_transformed(attack, monkeypatch):
         held["measured"] = idler
         return bell_measure(received, idler, detector, rng)
 
-    def record(schedule, frames, sender_beam_x, idler_x, detector, rng):
+    def record(blocked, frames, sender_beam_x, idler_x, detector, rng):
         held["blocked"] = (frames, idler_x)
-        return record_block_traces(schedule, frames, sender_beam_x, idler_x, detector, rng)
+        return record_block_traces(blocked, frames, sender_beam_x, idler_x, detector, rng)
 
     bell_measure = session.bell_measure
     record_block_traces = session.record_block_traces
@@ -229,6 +229,7 @@ def test_blocked_frames_record_traces_of_frame_length():
     transcript = run_session(cfg)
     assert len(transcript.traces) == len(transcript.blocked_frames)
     for traces in transcript.traces:
-        assert traces.alice.samples.size == 40
-        assert traces.bob.samples.size == 40
+        assert traces.frame in transcript.blocked_frames
+        assert traces.alice.size == 40
+        assert traces.bob.size == 40
     assert len(transcript.frame_cd) == 12 - len(transcript.blocked_frames)

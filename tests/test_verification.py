@@ -9,7 +9,6 @@ from qcsim.detection import DetectorConfig
 from qcsim.errors import DomainError, ProtocolOrderError
 from qcsim.quadrature import RngStream, sample_slots
 from qcsim.verification import (
-    BlockSchedule,
     CdSummary,
     Thresholds,
     TraceStats,
@@ -26,21 +25,23 @@ TANH_0875 = 0.7039056039366212
 
 
 def test_schedule_extremes():
-    assert schedule_blocks(100, 0.0, RngStream(61)).blocked == frozenset()
+    none = schedule_blocks(100, 0.0, RngStream(61))
+    assert none.dtype == bool and none.shape == (100,) and not none.any()
     full = schedule_blocks(100, 1.0, RngStream(61))
-    assert full.blocked == frozenset(range(100))
+    assert full.shape == (100,) and full.all()
+    assert schedule_blocks(0, 0.5, RngStream(61)).shape == (0,)
 
 
 def test_schedule_binomial_count():
-    schedule = schedule_blocks(1000, 0.1, RngStream(62))
-    assert abs(len(schedule.blocked) - 100) <= 30
-    assert all(0 <= f < 1000 for f in schedule.blocked)
+    blocked = schedule_blocks(1000, 0.1, RngStream(62))
+    assert blocked.dtype == bool and blocked.shape == (1000,)
+    assert abs(np.count_nonzero(blocked) - 100) <= 30
 
 
 def test_schedule_deterministic_and_validated():
     a = schedule_blocks(50, 0.3, RngStream(63))
     b = schedule_blocks(50, 0.3, RngStream(63))
-    assert a.blocked == b.blocked
+    assert np.array_equal(a, b)
     with pytest.raises(DomainError):
         schedule_blocks(50, 1.5, RngStream(63))
     with pytest.raises(DomainError):
@@ -48,7 +49,9 @@ def test_schedule_deterministic_and_validated():
 
 
 def _blocked_schedule(frame):
-    return BlockSchedule(blocked=frozenset({frame}), block_prob=0.5, n_frames=frame + 1)
+    blocked = np.zeros(frame + 1, dtype=bool)
+    blocked[frame] = True
+    return blocked
 
 
 def test_record_traces_requires_blocked_frame():
@@ -175,6 +178,12 @@ def test_thresholds_resolve_r_aware_defaults():
     assert custom.pearson == -0.2
     assert custom.rms_ratio == 0.9
     assert custom.cd_margin_db == 1.0
+
+
+@pytest.mark.parametrize("margin", [0.0, -1.0, math.inf, math.nan])
+def test_thresholds_reject_non_positive_cd_margin(margin):
+    with pytest.raises(DomainError, match="cd margin"):
+        Thresholds(cd_margin_db=margin)
 
 
 def _honest_stats():
