@@ -127,10 +127,13 @@ def swept_attack(attack: AttackSpec, name: str, value: float) -> AttackSpec:
 class Eavesdropper(Protocol):
     """Per-session state of an attack, returned by its spec's `begin`.
 
-    The session walks the frames in chunks.  Per chunk it calls
-    `substitute` on the outbound beams of all its frames right before the
-    sender, `drop` with the frames the sender blocked, and `relay` on the
-    returned beams of the other frames right after the sender.  `frames`
+    The session walks the frames in chunks, and splits each chunk into
+    the frames the sender blocks and the frames it sends.  It calls
+    `substitute` on the outbound beams right before the sender once for
+    the chunk's blocked frames, then `drop` with those frames; and once
+    for its sent frames, then `relay` on their returned beams right after
+    the sender.  On blocked frames `y` is None, because no output reads
+    it.  A hook must treat each frame alike in either call.  `frames`
     holds ascending frame indices, `x` and `y` one row of slots per frame,
     and `rng` draws one row per frame from the frames' attack substreams.
     """
@@ -267,8 +270,16 @@ class InterceptResendEve:
         self.record = EveRecord()
 
     def substitute(self, frames, real_x, real_y):
-        """Hold the genuine beams and return the fake beams sent to the sender."""
-        fake = sample_slots(self.fake_r, self._rng.rows(frames), np.shape(real_x))
+        """Hold the genuine beams and return the fake beams sent to the sender.
+
+        Without `real_y` (blocked frames) her source draws no phase
+        quadratures either, and the fake y is None."""
+        fake = sample_slots(
+            self.fake_r,
+            self._rng.rows(frames),
+            np.shape(real_x),
+            phases=real_y is not None,
+        )
         self._frames = np.asarray(frames)
         self._held = np.ones(self._frames.size, dtype=bool)
         self._real = (real_x, real_y)

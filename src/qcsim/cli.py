@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"qcsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"qcsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -193,6 +193,20 @@ def _apply_sweep_param(cfg: SessionConfig, name: str, value: float) -> SessionCo
     return replace(cfg, **{SESSION_SWEEPS[name]: value})
 
 
+def _sweep_point(cfg: SessionConfig, name: str, value: float):
+    """The config of one grid point, and whether its hiding window is empty
+    (a probe point, where no key can be encoded).  A value outside its
+    parameter's domain raises ConfigError naming the point."""
+    try:
+        point_cfg = _apply_sweep_param(cfg, name, value)
+        signal_amplitude_for(point_cfg.r, point_cfg.margin)
+    except HidingWindowError:
+        return point_cfg, True
+    except SimulationError as exc:
+        raise ConfigError(f"grid point {name}={fmt(value)}: {exc}") from None
+    return point_cfg, False
+
+
 def _cd_probe(cfg: SessionConfig, seed: int) -> float:
     """Correlation degree of an unmodulated session (used when the hiding
     window is empty and no key can be encoded)."""
@@ -225,13 +239,13 @@ def _cmd_sweep(args) -> int:
             f"{', '.join(SWEEP_PARAMS)}"
         )
 
+    # Every point is checked before the first session runs.
+    points = [_sweep_point(base_cfg, args.param, value) for value in values]
+
     lines = ["param,value,cd_db,ber,detection_rate"]
-    for index, value in enumerate(values):
-        point_cfg = _apply_sweep_param(base_cfg, args.param, value)
+    for index, (value, (point_cfg, probe)) in enumerate(zip(values, points)):
         point_seed = base_cfg.seed + _POINT_SEED_STRIDE * (index + 1)
-        try:
-            signal_amplitude_for(point_cfg.r, point_cfg.margin)
-        except HidingWindowError:
+        if probe:
             cd_db = _cd_probe(point_cfg, point_seed)
             lines.append(f"{args.param},{fmt(value)},{fmt(cd_db)},,")
             print(

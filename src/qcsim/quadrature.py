@@ -135,13 +135,14 @@ class SlotPair:
     """Quadratures of one slot (or a batch of slots) of an EPR beam pair.
 
     Beam 1 (x1, y1) is the transmitted signal beam, beam 2 (x2, y2) the
-    retained idler.  Fields hold scalars or equally shaped arrays.
+    retained idler.  Fields hold scalars or equally shaped arrays; the
+    phase quadratures y1 and y2 are None for slots sampled without them.
     """
 
     x1: float | np.ndarray
-    y1: float | np.ndarray
+    y1: float | np.ndarray | None
     x2: float | np.ndarray
-    y2: float | np.ndarray
+    y2: float | np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -190,23 +191,24 @@ def hiding_window(r: SqueezeParam) -> HidingWindow:
     return HidingWindow(lower=2.0 * math.exp(-2.0 * r), upper=math.cosh(2.0 * r))
 
 
-def slot_from_normals(r, u, v, w, z):
-    """Map four standard normals to correlated quadratures.
+def slot_from_normals(r, u, v, w=None, z=None):
+    """Map four standard normals, or the amplitude pair u, v alone, to
+    correlated quadratures.
 
     The combination gives anticorrelated amplitude quadratures and correlated
     phase quadratures: every single quadrature has variance cosh(2r) while
     x1+x2 and y1-y2 have variance 2*exp(-2r).  Inputs may be scalars or
-    arrays.
+    arrays.  Without `w` and `z` the phase quadratures are None.
     """
     r = _check_r(r)
     a = math.exp(-r) / math.sqrt(2.0)
     b = math.exp(r) / math.sqrt(2.0)
-    return SlotPair(
-        x1=a * u + b * v,
-        y1=b * w + a * z,
-        x2=a * u - b * v,
-        y2=b * w - a * z,
-    )
+    au, bv = a * u, b * v
+    y1 = y2 = None
+    if w is not None:
+        bw, az = b * w, a * z
+        y1, y2 = bw + az, bw - az
+    return SlotPair(x1=au + bv, y1=y1, x2=au - bv, y2=y2)
 
 
 def covariance_matrix(r: SqueezeParam) -> np.ndarray:
@@ -224,15 +226,21 @@ def covariance_matrix(r: SqueezeParam) -> np.ndarray:
     )
 
 
-def sample_slots(r: SqueezeParam, rng: RngStream | FrameRows, n) -> SlotPair:
+def sample_slots(
+    r: SqueezeParam, rng: RngStream | FrameRows, n, *, phases: bool = True
+) -> SlotPair:
     """Draw a batch of slots in a single vectorized pass: n slots from one
     stream, or with `n` a (frames, slots) shape, one row per frame from
-    `FrameRows`."""
+    `FrameRows`.
+
+    With `phases` false only the amplitude normals u and v are drawn, and
+    y1 and y2 are None.  A stream fills each draw (each frame row) in
+    order, u, v, w, z, so the x1 and x2 are those of the full draw.
+    """
     shape = tuple(int(s) for s in np.atleast_1d(n))
     if min(shape) < 1:
         raise DomainError(f"slot count must be >= 1, got {n}")
-    u, v, w, z = rng.standard_normal((4, *shape))
-    return slot_from_normals(r, u, v, w, z)
+    return slot_from_normals(r, *rng.standard_normal((4 if phases else 2, *shape)))
 
 
 def apply_loss(x, y, eta: float, rng: RngStream | FrameRows):
@@ -240,17 +248,19 @@ def apply_loss(x, y, eta: float, rng: RngStream | FrameRows):
     sqrt(1-eta) of fresh vacuum on each quadrature independently.
 
     A lossless leg (eta = 1) returns `x` and `y` themselves and draws
-    nothing: 1 * x + 0 * vacuum is x for every nonzero x.
+    nothing: 1 * x + 0 * vacuum is x for every nonzero x.  With `y` None
+    only the amplitude vacuum vx is drawn, the first block of the full
+    draw, and the returned y is None.
     """
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta!r}")
     if eta == 1.0:
         return x, y
-    vx, vy = rng.standard_normal((2, *np.shape(x)))
+    vacuum = rng.standard_normal((1 if y is None else 2, *np.shape(x)))
     t = math.sqrt(eta)
     f = math.sqrt(1.0 - eta)
-    return t * x + f * vx, t * y + f * vy
+    return t * x + f * vacuum[0], None if y is None else t * y + f * vacuum[1]
 
 
 def expected_sum_variance(

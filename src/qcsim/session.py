@@ -204,6 +204,26 @@ class _Tally:
     trace_stats: list[TraceStats] = field(default_factory=list)
 
 
+def _outbound(
+    cfg: SessionConfig,
+    frames: np.ndarray,
+    root: RngStream,
+    eve: Eavesdropper | None,
+    phases: bool,
+):
+    """Sample the slots of `frames` and carry their signal beams to the
+    sender; returns the slots and the signal beam's (x, y) as it arrives."""
+    shape = (frames.size, cfg.slots_per_frame)
+    slots = sample_slots(cfg.r, root.rows(frames, _PHASE_EPR), shape, phases=phases)
+    # Outbound leg: channel loss, then interception right before the sender.
+    sig_x, sig_y = apply_loss(
+        slots.x1, slots.y1, cfg.eta_out, root.rows(frames, _PHASE_LOSS_OUT)
+    )
+    if eve is not None:
+        sig_x, sig_y = eve.substitute(frames, sig_x, sig_y)
+    return slots, sig_x, sig_y
+
+
 def simulate_frame(
     cfg: SessionConfig,
     frames: np.ndarray,
@@ -221,44 +241,31 @@ def simulate_frame(
     session's blocked-frame mask and key bits (any value for blocked
     frames).  Row f of every random draw comes from frame f's own
     substream, so the results equal those of simulating the frames one at
-    a time.  The per-frame results are appended to `tally`.
+    a time.  The chunk is split into its blocked and its sent frames before
+    anything is sampled: a blocked frame's traces read only amplitude
+    quadratures, so its phase quadratures are never drawn.  The per-frame
+    results are appended to `tally`.
     """
     held_rows = blocked[frames]
-    sent = ~held_rows
-    slots = sample_slots(
-        cfg.r, root.rows(frames, _PHASE_EPR), (frames.size, cfg.slots_per_frame)
-    )
-    idler_x, idler_y = slots.x2, slots.y2
-
-    # Outbound leg: channel loss, then interception right before the sender.
-    sig_x, sig_y = apply_loss(
-        slots.x1, slots.y1, cfg.eta_out, root.rows(frames, _PHASE_LOSS_OUT)
-    )
-    if eve is not None:
-        sig_x, sig_y = eve.substitute(frames, sig_x, sig_y)
-
     if held_rows.any():
         held = frames[held_rows]
+        slots, sig_x, _ = _outbound(cfg, held, root, eve, phases=False)
         alice, bob = record_block_traces(
-            blocked,
-            held,
-            sig_x[held_rows],
-            idler_x[held_rows],
-            cfg.detector,
-            root.rows(held, _PHASE_SCOPES),
+            blocked, held, sig_x, slots.x2, cfg.detector, root.rows(held, _PHASE_SCOPES)
         )
         tally.traces.extend(map(BlockTraces, held.tolist(), alice, bob))
         tally.trace_stats.extend(trace_stats(alice, bob))
         if eve is not None:
             eve.drop(held)
 
-    if not sent.any():
+    if held_rows.all():
         return
-    sent_frames = frames[sent]
-    idler_x, idler_y = idler_x[sent], idler_y[sent]
+    sent_frames = frames[~held_rows]
+    slots, sig_x, sig_y = _outbound(cfg, sent_frames, root, eve, phases=True)
+    idler_x, idler_y = slots.x2, slots.y2
     encoded = encode_bit(
         BitBlock(bits[sent_frames], amplitude, cfg.slots_per_frame),
-        SlotPair(sig_x[sent], sig_y[sent], idler_x, idler_y),
+        SlotPair(sig_x, sig_y, idler_x, idler_y),
         cfg.r,
     )
     sig_x, sig_y = encoded.x1, encoded.y1

@@ -236,6 +236,22 @@ def test_run_names_margin_that_rounds_onto_window_edge(tmp_path, capsys, r, marg
     assert not out.exists()
 
 
+def test_run_too_large_for_memory_exits_1_without_traceback(tmp_path, capsys):
+    # NumPy refuses the first frame-sized allocation (petabytes) up front,
+    # without touching memory.
+    config = _write(
+        tmp_path,
+        "huge.ini",
+        "[session]\nr = 0.4375\nkey_bits = 10\nseed = 3\nframes = 1000000000000000\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qcsim: error: ") and "allocate" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_rejects_subthreshold_correlation(tmp_path, capsys):
     config = _write(
         tmp_path,
@@ -577,24 +593,38 @@ def _no_session(cfg):
     raise AssertionError("a session ran")
 
 
+def _grid_case(param, grid, named):
+    # The tau cases are named by grid and message alone, so their ids stay stable.
+    prefix = "" if param == "tau" else f"{param}-"
+    return pytest.param(param, grid, named, id=f"{prefix}{grid}-{named}")
+
+
 @pytest.mark.parametrize(
-    "grid, named",
+    "param, grid, named",
     [
-        ("nan:1:0.1", "finite"),
-        ("0:inf:1", "finite"),
-        ("0:1:inf", "finite"),
-        ("0:1:1e-300", f"more than {MAX_GRID_POINTS} points"),
+        _grid_case("tau", "nan:1:0.1", "finite"),
+        _grid_case("tau", "0:inf:1", "finite"),
+        _grid_case("tau", "0:1:inf", "finite"),
+        _grid_case("tau", "0:1:1e-300", f"more than {MAX_GRID_POINTS} points"),
+        # A point outside the parameter's domain, after points inside it.
+        _grid_case("tau", "0:2:0.5", "grid point tau=1.5: tap fraction"),
+        _grid_case("margin", "0.5:1.2:0.25", "grid point margin=1: margin"),
+        _grid_case("eta", "0.5:1.5:0.25", "grid point eta=1.25: eta_out"),
+        _grid_case("r", "0.4:200:99.5", "grid point r=199.4: r:"),
+        _grid_case("fake_r", "0:200:100", "grid point fake_r=200: correlation"),
+        _grid_case("sigma_m", "0:1:0.5", "grid point sigma_m=0: measurement"),
     ],
 )
 def test_sweep_rejects_unbounded_grid_before_any_session(
-    tmp_path, capsys, monkeypatch, grid, named
+    tmp_path, capsys, monkeypatch, param, grid, named
 ):
     import qcsim.cli as cli
 
     monkeypatch.setattr(cli, "run_session", _no_session)
+    monkeypatch.setattr(cli, "_cd_probe", _no_session)
     config = _write(tmp_path, "sweep.ini", SIX_BIT_CONFIG)
     out = tmp_path / "x.csv"
-    argv = ["sweep", "--config", config, "--param", "tau", "--grid", grid,
+    argv = ["sweep", "--config", config, "--param", param, "--grid", grid,
             "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -291,3 +291,50 @@ def test_sample_slots_over_frame_rows_equals_per_frame_draws():
         single = sample_slots(0.4375, root.substream(f, 2), 16)
         for name in ("x1", "y1", "x2", "y2"):
             assert np.array_equal(getattr(batch, name)[row], getattr(single, name))
+
+
+def _stream_and_shape(seed, frames, slots):
+    """A 1-D stream when `frames` is None, else the rows of those frames."""
+    root = RngStream(seed)
+    if frames is None:
+        return root.substream(3, 2), slots
+    return root.rows(frames, 2), (len(frames), slots)
+
+
+_FRAMES = st.none() | st.lists(
+    st.integers(min_value=0, max_value=2**20), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    r=st.floats(min_value=0.0, max_value=3.0),
+    frames=_FRAMES,
+    slots=st.integers(min_value=1, max_value=40),
+)
+def test_amplitude_only_draw_gives_the_full_draws_amplitudes(seed, r, frames, slots):
+    # Each draw (each frame row) fills u, v, w, z in order, so stopping
+    # after u and v moves no amplitude sample.
+    rng, shape = _stream_and_shape(seed, frames, slots)
+    full = sample_slots(r, rng, shape)
+    amplitudes = sample_slots(r, rng, shape, phases=False)
+    assert np.array_equal(amplitudes.x1, full.x1)
+    assert np.array_equal(amplitudes.x2, full.x2)
+    assert amplitudes.y1 is None and amplitudes.y2 is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    frames=_FRAMES,
+    slots=st.integers(min_value=1, max_value=40),
+)
+def test_amplitude_only_loss_gives_the_full_loss_amplitude(seed, eta, frames, slots):
+    rng, shape = _stream_and_shape(seed, frames, slots)
+    x, y = RngStream(seed ^ 1).standard_normal((2, *np.atleast_1d(shape)))
+    full_x, _ = apply_loss(x, y, eta, rng)
+    lossy_x, lossy_y = apply_loss(x, None, eta, rng)
+    assert np.array_equal(lossy_x, full_x)
+    assert lossy_y is None

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from qcsim.adversary import InterceptResend, NoAttack, Qnd, Tap
 from qcsim.detection import DetectorConfig
 from qcsim.errors import ConfigError, HidingWindowError
-from qcsim.quadrature import Quadrature, RngStream, sample_slots
+from qcsim.quadrature import FrameRows, Quadrature, RngStream, sample_slots
 from qcsim.report import transcript_to_json
 from qcsim.session import (
+    _EVE_SEED_SALT,
     _PHASE_EPR,
+    _PHASE_LOSS_OUT,
     ABORT_EVE_SUSPECTED,
     ABORT_NO_KEY,
     SessionConfig,
@@ -114,6 +117,40 @@ def test_idler_is_never_transformed(attack, monkeypatch):
         regenerated = sample_slots(cfg.r, root.substream(f, _PHASE_EPR), cfg.slots_per_frame)
         assert np.array_equal(idler_x, regenerated.x2)
         assert np.array_equal(idler_y, regenerated.y2)
+
+
+def test_blocked_frames_draw_no_phase_normals(monkeypatch):
+    # A blocked frame's traces read amplitude quadratures only, so neither
+    # the EPR source, the outbound loss nor intercept-resend's fake source
+    # draws its phase normals.
+    slots = 16
+    cfg = _config(
+        frames=10,
+        slots_per_frame=slots,
+        block_prob=0.5,
+        eta_out=0.6,
+        attack=InterceptResend(fake_r=1.0),
+    )
+    drawn = Counter()  # (seed, phase, frame) -> normals drawn
+    standard_normal = FrameRows.standard_normal
+
+    def counting(self, shape):
+        per_row = math.prod(shape) // shape[1]
+        for substream_id in self.ids.tolist():
+            drawn[self.seed, substream_id >> 32, substream_id & 0xFFFFFFFF] += per_row
+        return standard_normal(self, shape)
+
+    monkeypatch.setattr(FrameRows, "standard_normal", counting)
+    transcript = run_session(cfg)
+
+    blocked = set(transcript.blocked_frames)
+    assert 0 < len(blocked) < cfg.frames
+    eve_seed = (cfg.seed ^ _EVE_SEED_SALT) & (2**64 - 1)
+    for f in range(cfg.frames):
+        quadratures = 2 if f in blocked else 4
+        assert drawn[cfg.seed, _PHASE_EPR, f] == quadratures * slots
+        assert drawn[eve_seed, 0, f] == quadratures * slots
+        assert drawn[cfg.seed, _PHASE_LOSS_OUT, f] == quadratures // 2 * slots
 
 
 def test_key_bits_cycle_over_unblocked_frames():
