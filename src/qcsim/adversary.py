@@ -88,10 +88,7 @@ class Qnd:
     measurement_var: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.measurement_var) and self.measurement_var > 0.0):
-            raise DomainError(
-                f"measurement variance must be > 0, got {self.measurement_var!r}"
-            )
+        back_action_var(self.measurement_var)
 
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
         return ProbeEve(self.probe)
@@ -127,15 +124,16 @@ def swept_attack(attack: AttackSpec, name: str, value: float) -> AttackSpec:
 class Eavesdropper(Protocol):
     """Per-session state of an attack, returned by its spec's `begin`.
 
-    The session walks the frames in chunks, and splits each chunk into
-    the frames the sender blocks and the frames it sends.  It calls
-    `substitute` on the outbound beams right before the sender once for
-    the chunk's blocked frames, then `drop` with those frames; and once
-    for its sent frames, then `relay` on their returned beams right after
-    the sender.  On blocked frames `y` is None, because no output reads
-    it.  A hook must treat each frame alike in either call.  `frames`
-    holds ascending frame indices, `x` and `y` one row of slots per frame,
-    and `rng` draws one row per frame from the frames' attack substreams.
+    The session walks the frames in chunks of one kind: all chunks of
+    frames the sender blocks first, then all chunks of frames it sends.
+    For each chunk it calls `substitute` on the outbound beams right before
+    the sender, then, for a blocked chunk, `drop` with the same frames, or,
+    for a sent chunk, `relay` on the same frames' returned beams right
+    after the sender.  On blocked chunks `y` is None, because no output
+    reads it.  A hook must treat each frame alike in either kind of chunk.
+    `frames` holds ascending frame indices, `x` and `y` one row of slots
+    per frame, and `rng` draws one row per frame from the frames' attack
+    substreams.
     """
 
     record: EveRecord
@@ -179,13 +177,19 @@ def tap(x, y, tau: float, rng: RngStream | FrameRows) -> TapResult:
 
 
 def back_action_var(measurement_var: float) -> float:
-    """Minimum-uncertainty disturbance added to the conjugate quadrature."""
+    """Minimum-uncertainty disturbance added to the conjugate quadrature.
+
+    Raises DomainError unless measurement_var is finite and > 0 with a
+    finite reciprocal: below about 1/1.8e308 the disturbance overflows.
+    """
     measurement_var = float(measurement_var)
-    if not (math.isfinite(measurement_var) and measurement_var > 0.0):
+    disturbance = 1.0 / measurement_var if measurement_var > 0.0 else math.nan
+    if not (math.isfinite(measurement_var) and math.isfinite(disturbance)):
         raise DomainError(
-            f"measurement variance must be > 0, got {measurement_var!r}"
+            f"measurement_var must be > 0 with a finite reciprocal, "
+            f"got {measurement_var!r}"
         )
-    return 1.0 / measurement_var
+    return disturbance
 
 
 @dataclass(frozen=True)
@@ -262,11 +266,9 @@ class InterceptResendEve:
         self._rng = rng
         # Her decode floor: ideal detection of her own pair.
         self._noise_var = 2.0 * math.exp(-2.0 * self.fake_r)
-        # The chunk she holds: its frames, which of them still await their
-        # return, the genuine beams and the fake idlers, one row per frame.
-        self._frames = np.empty(0, dtype=np.int64)
-        self._held = np.empty(0, dtype=bool)
-        self._real = self._fake_idler = None
+        # The chunk of her last `substitute` until it is relayed or dropped:
+        # its frames, the genuine beams and the fake idlers.
+        self._chunk = None
         self.record = EveRecord()
 
     def substitute(self, frames, real_x, real_y):
@@ -280,27 +282,20 @@ class InterceptResendEve:
             np.shape(real_x),
             phases=real_y is not None,
         )
-        self._frames = np.asarray(frames)
-        self._held = np.ones(self._frames.size, dtype=bool)
-        self._real = (real_x, real_y)
-        self._fake_idler = (fake.x2, fake.y2)
+        self._chunk = (np.asarray(frames), (real_x, real_y), (fake.x2, fake.y2))
         return fake.x1, fake.y1
 
-    def _release(self, frames) -> np.ndarray:
-        """Rows of the held chunk for `frames`, no longer held afterwards."""
-        frames = np.asarray(frames)
-        rows = np.searchsorted(self._frames, frames)
-        found = rows < self._frames.size
-        found[found] = self._frames[rows[found]] == frames[found]
-        found[found] = self._held[rows[found]]
-        if not found.all():
-            raise KeyError(f"frame {frames[~found][0]} is not held")
-        self._held[rows] = False
-        return rows
+    def _take(self, frames) -> tuple:
+        """The genuine beams and fake idlers of the held chunk, which must
+        be exactly `frames`; the chunk is no longer held afterwards."""
+        if self._chunk is None or not np.array_equal(self._chunk[0], frames):
+            raise KeyError("frames are not the chunk of the last substitute")
+        (_, real, fake_idler), self._chunk = self._chunk, None
+        return real, fake_idler
 
     def drop(self, frames) -> None:
         """Discard the frames that never came back (the sender blocked them)."""
-        self._release(frames)
+        self._take(frames)
 
     def relay(self, frames, encoded_x, encoded_y, rng: FrameRows):
         """Decode the returned fake beams and forward the re-modulated real beams.
@@ -309,17 +304,15 @@ class InterceptResendEve:
         bits go to `record.decoded_bits`.  `rng` is unused: her own source
         draws from the stream she was created with.
         """
-        rows = self._release(frames)
+        (real_x, real_y), (idler_x, idler_y) = self._take(frames)
         measurement = JointMeasurement(
-            d_plus=encoded_x + self._fake_idler[0][rows],
-            d_minus=encoded_y - self._fake_idler[1][rows],
+            d_plus=encoded_x + idler_x, d_minus=encoded_y - idler_y
         )
         decoded = decode_bit(measurement, self.amplitude, self._noise_var)
         self.record.decoded_bits.extend(decoded.bit)
         self.record.observations.update(
             zip(np.asarray(frames).tolist(), measurement.d_plus)
         )
-        real_x, real_y = self._real[0][rows], self._real[1][rows]
-        block = BitBlock(np.array(decoded.bit), self.amplitude, real_x.shape[-1])
+        block = BitBlock(np.array(decoded.bit), self.amplitude)
         out = encode_bit(block, SlotPair(real_x, real_y, 0.0, 0.0), self.session_r)
         return out.x1, out.y1

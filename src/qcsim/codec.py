@@ -22,12 +22,11 @@ from .quadrature import HIDING_THRESHOLD_R, SlotPair, SqueezeParam, hiding_windo
 
 @dataclass(frozen=True)
 class BitBlock:
-    """Key bits of a block of frames: row i of a (frames, slot_count) slot
-    block carries bits[i], every row at one signal amplitude."""
+    """Key bits of a block of frames: row i of a (frames, slots) slot block
+    carries bits[i], every row at one signal amplitude."""
 
     bits: np.ndarray
     amplitude: float
-    slot_count: int
 
     def __post_init__(self):
         if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
@@ -37,8 +36,6 @@ class BitBlock:
         bits = np.asarray(self.bits)
         if not ((bits == 0) | (bits == 1)).all():
             raise DomainError("bits must be 0 or 1")
-        if self.slot_count < 1:
-            raise DomainError(f"slot_count must be >= 1, got {self.slot_count!r}")
 
 
 def signal_amplitude_for(r: SqueezeParam, margin: float) -> float:
@@ -88,13 +85,13 @@ def encode_bit(block: BitBlock, slot: SlotPair, r: SqueezeParam) -> SlotPair:
             f"signal power {s * s:g} outside the hiding window "
             f"({window.lower:g}, {window.upper:g}) at r={r:g}"
         )
-    length = np.shape(slot.x1)[-1]
-    if length != block.slot_count:
+    shape, bits = np.shape(slot.x1), np.asarray(block.bits)
+    if len(shape) != 2 or bits.shape != shape[:1]:
         raise ValueError(
-            f"slot batch of length {length} does not match frame slot_count "
-            f"{block.slot_count}"
+            f"{bits.size} bits need a (frames, slots) block of as many rows, "
+            f"got shape {shape}"
         )
-    am = (np.asarray(block.bits) == 1)[:, None]
+    am = (bits == 1)[:, None]
     x1 = np.where(am, slot.x1 + s, slot.x1)
     y1 = np.where(am, slot.y1, slot.y1 + s)
     return SlotPair(x1, y1, slot.x2, slot.y2)

@@ -7,9 +7,10 @@ trace recording, travels back (return hooks and loss), and is jointly
 measured against the retained idler.  Verification runs only after all
 frames complete, then the session is accepted or aborted.
 
-Frames are simulated in chunks, each stage once per chunk over
-(frames x slots) arrays.  Every frame draws from its own substreams, so
-the transcript is the same as that of a frame-at-a-time run.
+Frames are simulated in chunks of one kind, the blocked frames first and
+the sent frames after, each stage once per chunk over (frames x slots)
+arrays.  Every frame draws from its own substreams, so the transcript is
+the same as that of a frame-at-a-time run.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ _CHUNK_SLOTS = 1 << 16
 
 @dataclass
 class _Tally:
-    """What the chunks of a session produced, per frame in frame order."""
+    """What the chunks of a session produced, per frame in frame order
+    within each kind of frame."""
 
     decoded_bits: list[int] = field(default_factory=list)
     confidences: list[float] = field(default_factory=list)
@@ -224,10 +226,38 @@ def _outbound(
     return slots, sig_x, sig_y
 
 
-def simulate_frame(
+def _chunks(frames: np.ndarray, slots_per_frame: int):
+    """`frames` in runs of at most `_CHUNK_SLOTS` slots, one frame a run if
+    a frame is longer."""
+    step = max(1, _CHUNK_SLOTS // slots_per_frame)
+    for start in range(0, frames.size, step):
+        yield frames[start : start + step]
+
+
+def _simulate_blocked(
     cfg: SessionConfig,
     frames: np.ndarray,
     blocked: np.ndarray,
+    root: RngStream,
+    eve: Eavesdropper | None,
+    tally: _Tally,
+) -> None:
+    """Record the traces of a chunk of blocked frames and append them and
+    their statistics to `tally`.  The traces read only amplitude
+    quadratures, so no phase quadrature is drawn."""
+    slots, sig_x, _ = _outbound(cfg, frames, root, eve, phases=False)
+    alice, bob = record_block_traces(
+        blocked, frames, sig_x, slots.x2, cfg.detector, root.rows(frames, _PHASE_SCOPES)
+    )
+    tally.traces.extend(map(BlockTraces, frames.tolist(), alice, bob))
+    tally.trace_stats.extend(trace_stats(alice, bob))
+    if eve is not None:
+        eve.drop(frames)
+
+
+def simulate_frame(
+    cfg: SessionConfig,
+    frames: np.ndarray,
     bits: np.ndarray,
     amplitude: float,
     noise_var: float,
@@ -235,36 +265,18 @@ def simulate_frame(
     eve: Eavesdropper | None,
     tally: _Tally,
 ) -> None:
-    """Simulate a chunk of frames end to end, each quantity one row per frame.
+    """Simulate a chunk of sent frames end to end, each quantity one row per
+    frame, and append the per-frame results to `tally`.
 
-    `frames` holds ascending frame indices; `blocked` and `bits` are the
-    session's blocked-frame mask and key bits (any value for blocked
-    frames).  Row f of every random draw comes from frame f's own
-    substream, so the results equal those of simulating the frames one at
-    a time.  The chunk is split into its blocked and its sent frames before
-    anything is sampled: a blocked frame's traces read only amplitude
-    quadratures, so its phase quadratures are never drawn.  The per-frame
-    results are appended to `tally`.
+    `frames` holds ascending indices of frames the sender does not block;
+    `bits` holds the session's key bit per frame.  Row f of every random
+    draw comes from frame f's own substream, so the results equal those of
+    simulating the frames one at a time.
     """
-    held_rows = blocked[frames]
-    if held_rows.any():
-        held = frames[held_rows]
-        slots, sig_x, _ = _outbound(cfg, held, root, eve, phases=False)
-        alice, bob = record_block_traces(
-            blocked, held, sig_x, slots.x2, cfg.detector, root.rows(held, _PHASE_SCOPES)
-        )
-        tally.traces.extend(map(BlockTraces, held.tolist(), alice, bob))
-        tally.trace_stats.extend(trace_stats(alice, bob))
-        if eve is not None:
-            eve.drop(held)
-
-    if held_rows.all():
-        return
-    sent_frames = frames[~held_rows]
-    slots, sig_x, sig_y = _outbound(cfg, sent_frames, root, eve, phases=True)
+    slots, sig_x, sig_y = _outbound(cfg, frames, root, eve, phases=True)
     idler_x, idler_y = slots.x2, slots.y2
     encoded = encode_bit(
-        BitBlock(bits[sent_frames], amplitude, cfg.slots_per_frame),
+        BitBlock(bits[frames], amplitude),
         SlotPair(sig_x, sig_y, idler_x, idler_y),
         cfg.r,
     )
@@ -272,18 +284,16 @@ def simulate_frame(
 
     # Return leg: attacker hooks near the sender's output, then channel loss.
     if eve is not None:
-        sig_x, sig_y = eve.relay(
-            sent_frames, sig_x, sig_y, root.rows(sent_frames, _PHASE_ATTACK)
-        )
+        sig_x, sig_y = eve.relay(frames, sig_x, sig_y, root.rows(frames, _PHASE_ATTACK))
     sig_x, sig_y = apply_loss(
-        sig_x, sig_y, cfg.eta_back, root.rows(sent_frames, _PHASE_LOSS_BACK)
+        sig_x, sig_y, cfg.eta_back, root.rows(frames, _PHASE_LOSS_BACK)
     )
 
     measurement = bell_measure(
         (sig_x, sig_y),
         (idler_x, idler_y),
         cfg.detector,
-        root.rows(sent_frames, _PHASE_DETECTOR),
+        root.rows(frames, _PHASE_DETECTOR),
     )
     decoded = decode_bit(measurement, amplitude, noise_var)
     tally.decoded_bits.extend(decoded.bit)
@@ -291,7 +301,7 @@ def simulate_frame(
     tally.frame_cd.extend(
         map(
             FrameCd,
-            sent_frames.tolist(),
+            frames.tolist(),
             correlation_degree(measurement, Quadrature.X).cd_db,
             correlation_degree(measurement, Quadrature.Y).cd_db,
         )
@@ -323,21 +333,12 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
     bits = np.zeros(cfg.frames, dtype=int)
     bits[sent] = key[np.arange(np.count_nonzero(sent)) % key.size]
 
+    # All blocked frames first, then all sent ones, each kind in frame order.
     tally = _Tally()
-    chunk = max(1, _CHUNK_SLOTS // cfg.slots_per_frame)
-    for start in range(0, cfg.frames, chunk):
-        frames = np.arange(start, min(start + chunk, cfg.frames))
-        simulate_frame(
-            cfg,
-            frames,
-            blocked,
-            bits,
-            amplitude,
-            noise_var,
-            root,
-            eve,
-            tally,
-        )
+    for frames in _chunks(np.flatnonzero(blocked), cfg.slots_per_frame):
+        _simulate_blocked(cfg, frames, blocked, root, eve, tally)
+    for frames in _chunks(np.flatnonzero(sent), cfg.slots_per_frame):
+        simulate_frame(cfg, frames, bits, amplitude, noise_var, root, eve, tally)
 
     cd_summary = None
     if tally.residual_ss_plus:

@@ -83,8 +83,12 @@ def test_tap_tradeoff_is_monotone():
 def test_qnd_product_of_readout_and_back_action_is_unity():
     for var in (0.25, 1.0, 7.5):
         assert var * back_action_var(var) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        back_action_var(0.0)
+    # 1e-310 is positive and finite, but its back-action 1/var overflows.
+    for var in (0.0, 1e-310):
+        with pytest.raises(DomainError, match="measurement_var"):
+            back_action_var(var)
+        with pytest.raises(DomainError, match="measurement_var"):
+            Qnd(measurement_var=var)
 
 
 def test_qnd_negligible_disturbance_in_weak_limit():
@@ -206,6 +210,28 @@ def test_intercept_eve_drop_discards_frame_state():
     eve.drop(frame)
     with pytest.raises(KeyError):
         eve.relay(frame, slots.x1[None], slots.y1[None], RngStream(54).rows(frame))
+
+
+def test_intercept_eve_holds_exactly_the_last_substituted_chunk():
+    frames = np.array([4, 5, 6])
+    slots = sample_slots(0.4375, RngStream(55).rows(frames), (3, 16))
+    amplitude = signal_amplitude_for(0.4375, 0.5)
+    eve = InterceptResendEve(1.0, amplitude, 0.4375, RngStream(56))
+    fake_x, fake_y = eve.substitute(frames, slots.x1, slots.y1)
+    rng = RngStream(57).rows(frames)
+    # A subset of the held chunk, or another chunk, is refused either way
+    # and leaves the chunk held.
+    for other in (frames[:2], frames[1:], np.array([7, 8, 9])):
+        with pytest.raises(KeyError):
+            eve.relay(other, fake_x[: other.size], fake_y[: other.size], rng)
+        with pytest.raises(KeyError):
+            eve.drop(other)
+    eve.relay(frames, fake_x, fake_y, rng)
+    # Once relayed, the chunk is gone.
+    with pytest.raises(KeyError):
+        eve.relay(frames, fake_x, fake_y, rng)
+    with pytest.raises(KeyError):
+        eve.drop(frames)
 
 
 @pytest.mark.parametrize("bad_tau", [-0.01, 1.01, float("nan")])

@@ -1,21 +1,25 @@
-"""Byte pins for the chunked session core at chunk boundaries.
+"""Byte pins and the hook sequence of the chunked session core.
 
-`run_session` walks the frames in chunks of at most `_CHUNK_SLOTS` slots.
-The sha256 digests of `transcript_to_json` below were recorded with the
-frame-at-a-time session loop of commit 337ccdb, before frames were
-batched, so they hold the chunk walk to the per-frame results byte for
-byte.  The two shapes straddle the chunk size: 1030 x 64 slots spans two
-chunks, and each 70 000-slot frame is larger than a chunk.  The lossy
-channel also runs detectors without electronic noise, which skips their
-noise draws.  Seed 2028 blocks frame 1 of 3, so the long-frame sessions
-hold blocked and unblocked frames.
+`run_session` walks the blocked frames first and the sent frames after,
+each kind in chunks of at most `_CHUNK_SLOTS` slots.  The sha256 digests
+of `transcript_to_json` below were recorded with the frame-at-a-time
+session loop of commit 337ccdb, before frames were batched, so they hold
+the chunk walk to the per-frame results byte for byte.  The two shapes
+straddle the chunk size: 1030 x 64 slots spans two chunks, and each
+70 000-slot frame is larger than a chunk.  The lossy channel also runs
+detectors without electronic noise, which skips their noise draws.  Seed
+2028 blocks frame 1 of 3, so the long-frame sessions hold blocked and
+unblocked frames.  A recording eavesdropper pins the order and size of
+the chunks that the attack hooks see.
 """
 
 import hashlib
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import pytest
 
-from qcsim.adversary import InterceptResend, NoAttack, Qnd, Tap
+from qcsim.adversary import EveRecord, InterceptResend, NoAttack, Qnd, Tap
 from qcsim.detection import DetectorConfig
 from qcsim.quadrature import Quadrature
 from qcsim.report import transcript_to_json
@@ -78,3 +82,72 @@ def test_chunk_walk_keeps_per_frame_bytes(shape, attack, channel):
     )
     text = transcript_to_json(run_session(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[shape, attack, channel]
+
+
+class _RecordingEve:
+    """Passes every beam on untouched and logs each hook call as
+    (hook, frames, whether y was given)."""
+
+    def __init__(self, calls: list):
+        self.record = EveRecord()
+        self.calls = calls
+
+    def substitute(self, frames, x, y):
+        self.calls.append(("substitute", frames.tolist(), y is not None))
+        return x, y
+
+    def drop(self, frames):
+        self.calls.append(("drop", frames.tolist(), False))
+
+    def relay(self, frames, x, y, rng):
+        self.calls.append(("relay", frames.tolist(), y is not None))
+        return x, y
+
+
+@dataclass(frozen=True)
+class _Recording:
+    kind: ClassVar[str] = "recording"
+    calls: list = field(default_factory=list)
+
+    def begin(self, amplitude, session_r, rng):
+        return _RecordingEve(self.calls)
+
+
+@pytest.mark.parametrize("shape", [(1030, 64), (3, 70000)], ids=["1030x64", "3x70000"])
+def test_hooks_see_chunks_of_one_kind(shape):
+    frames, slots_per_frame = shape
+    attack = _Recording()
+    cfg = SessionConfig(
+        key_bits="100110",
+        seed=2028,
+        frames=frames,
+        slots_per_frame=slots_per_frame,
+        block_prob=0.35,
+        attack=attack,
+    )
+    transcript = run_session(cfg)
+    calls = attack.calls
+    # Each substitute is followed by drop (blocked, no y) or relay (sent,
+    # with y) on the same frames.
+    assert len(calls) % 2 == 0
+    chunks = {"drop": [], "relay": []}
+    for (hook, held, has_y), (end, returned, end_has_y) in zip(calls[::2], calls[1::2]):
+        assert hook == "substitute"
+        assert end in chunks and returned == held
+        assert has_y is end_has_y is (end == "relay")
+        chunks[end].append(held)
+    # All blocked chunks come first, then all sent chunks.
+    ends = [end for end, _, _ in calls[1::2]]
+    assert ends == ["drop"] * len(chunks["drop"]) + ["relay"] * len(chunks["relay"])
+    blocked = [f for chunk in chunks["drop"] for f in chunk]
+    sent = [f for chunk in chunks["relay"] for f in chunk]
+    # Each kind in ascending frame order, each frame in exactly one call.
+    assert blocked == list(transcript.blocked_frames)
+    assert sorted(blocked + sent) == list(range(frames))
+    assert sent == sorted(sent)
+    assert blocked and sent
+    # Every chunk but the last of its kind is full.
+    full = max(1, _CHUNK_SLOTS // slots_per_frame)
+    for kind in chunks.values():
+        assert all(len(chunk) == full for chunk in kind[:-1])
+        assert 1 <= len(kind[-1]) <= full

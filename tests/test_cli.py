@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,6 +234,22 @@ def test_run_names_margin_that_rounds_onto_window_edge(tmp_path, capsys, r, marg
     out = tmp_path / "out"
     assert main(["run", "--config", config, "--out", str(out)]) == 1
     assert f"margin {margin!r} at r={r:g}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_qnd_variance_whose_back_action_overflows(tmp_path, capsys):
+    # 1/1e-310 overflows to inf: unchecked, the session samples infinite
+    # beams, NumPy warns, and the run fails only after simulating.
+    config = _write(
+        tmp_path,
+        "qnd.ini",
+        f"{SIX_BIT_CONFIG}[attack]\nkind = qnd\nmeasurement_var = 1e-310\n",
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+    assert "[attack] measurement_var" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -613,6 +630,9 @@ def _grid_case(param, grid, named):
         _grid_case("r", "0.4:200:99.5", "grid point r=199.4: r:"),
         _grid_case("fake_r", "0:200:100", "grid point fake_r=200: correlation"),
         _grid_case("sigma_m", "0:1:0.5", "grid point sigma_m=0: measurement"),
+        _grid_case(
+            "sigma_m", "1e-310:1:0.5", "grid point sigma_m=1e-310: measurement_var"
+        ),
     ],
 )
 def test_sweep_rejects_unbounded_grid_before_any_session(

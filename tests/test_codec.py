@@ -18,55 +18,53 @@ def _one_slot(x1, y1, x2, y2):
 
 def test_symbol_requires_positive_amplitude():
     with pytest.raises(DomainError):
-        BitBlock(np.array([1]), 0.0, 4)
+        BitBlock(np.array([1]), 0.0)
     with pytest.raises(DomainError):
-        BitBlock(np.array([0]), -1.0, 4)
+        BitBlock(np.array([0]), -1.0)
     with pytest.raises(DomainError):
-        BitBlock(np.array([1]), math.inf, 4)
+        BitBlock(np.array([1]), math.inf)
 
 
 def test_frame_bit_symbol_consistency():
-    BitBlock(np.array([1, 0]), 1.0, 4)
-    BitBlock(np.array([True, False]), 1.0, 4)
-    BitBlock(np.array([1.0, 0.0]), 1.0, 4)
+    BitBlock(np.array([1, 0]), 1.0)
+    BitBlock(np.array([True, False]), 1.0)
+    BitBlock(np.array([1.0, 0.0]), 1.0)
     with pytest.raises(DomainError):
-        BitBlock(np.array([1, 2]), 1.0, 4)
-    with pytest.raises(DomainError):
-        BitBlock(np.array([1]), 1.0, 0)
+        BitBlock(np.array([1, 2]), 1.0)
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
 def test_bit_block_rejects_non_binary_bits(bad):
     with pytest.raises(DomainError, match="bits must be 0 or 1"):
-        BitBlock(np.array([0, 1, bad]), 1.0, 4)
+        BitBlock(np.array([0, 1, bad]), 1.0)
 
 
 def test_symbol_for_bit_mapping():
     # Bit 1 rides on the amplitude quadrature, bit 0 on the phase quadrature.
     zeros = np.zeros((2, 1))
     out = encode_bit(
-        BitBlock(np.array([1, 0]), 1.0, 1), SlotPair(zeros, zeros, zeros, zeros), r=1.0
+        BitBlock(np.array([1, 0]), 1.0), SlotPair(zeros, zeros, zeros, zeros), r=1.0
     )
     assert out.x1.tolist() == [[1.0], [0.0]]
     assert out.y1.tolist() == [[0.0], [1.0]]
 
 
 def test_encode_am_displaces_amplitude_only():
-    out = encode_bit(BitBlock(np.array([1]), 1.0, 1), _one_slot(0.2, -0.4, 0.7, 0.1), r=1.0)
+    out = encode_bit(BitBlock(np.array([1]), 1.0), _one_slot(0.2, -0.4, 0.7, 0.1), r=1.0)
     assert out.x1[0, 0] == pytest.approx(1.2)
     assert out.y1[0, 0] == -0.4
     assert out.x2[0, 0] == 0.7 and out.y2[0, 0] == 0.1
 
 
 def test_encode_pm_displaces_phase_only():
-    out = encode_bit(BitBlock(np.array([0]), 1.0, 1), _one_slot(0.2, -0.4, 0.7, 0.1), r=1.0)
+    out = encode_bit(BitBlock(np.array([0]), 1.0), _one_slot(0.2, -0.4, 0.7, 0.1), r=1.0)
     assert out.x1[0, 0] == 0.2
     assert out.y1[0, 0] == pytest.approx(0.6)
 
 
 def test_encode_never_touches_idler_arrays():
     slots = sample_slots(1.0, RngStream(3).rows([0]), (1, 16))
-    out = encode_bit(BitBlock(np.array([1]), 1.0, 16), slots, r=1.0)
+    out = encode_bit(BitBlock(np.array([1]), 1.0), slots, r=1.0)
     assert out.x2 is slots.x2
     assert out.y2 is slots.y2
 
@@ -82,20 +80,25 @@ def test_encode_rejects_power_outside_window():
         w.upper * 2.0,
     )
     for power in edges:
-        block = BitBlock(np.array([1]), math.sqrt(power), 1)
+        block = BitBlock(np.array([1]), math.sqrt(power))
         with pytest.raises(SignalBudgetError):
             encode_bit(block, _one_slot(0.0, 0.0, 0.0, 0.0), r=1.0)
 
 
 def test_encode_accepts_power_inside_window():
     # At r=1 a unit signal power sits inside (0.271, 3.762).
-    encode_bit(BitBlock(np.array([1]), 1.0, 1), _one_slot(0.0, 0.0, 0.0, 0.0), r=1.0)
+    encode_bit(BitBlock(np.array([1]), 1.0), _one_slot(0.0, 0.0, 0.0, 0.0), r=1.0)
 
 
 def test_encode_checks_batch_length():
-    slots = sample_slots(1.0, RngStream(3).rows([1]), (1, 16))
-    with pytest.raises(ValueError):
-        encode_bit(BitBlock(np.array([1]), 1.0, 8), slots, r=1.0)
+    # One bit per row of a (frames, slots) block: other bit counts are
+    # refused rather than broadcast over the rows, and so is a 1-D batch,
+    # which three bits would otherwise turn into a (3, 16) block.
+    block = sample_slots(1.0, RngStream(3).rows([1, 2, 3]), (3, 16))
+    batch = sample_slots(1.0, RngStream(3).substream(0), 16)
+    for bits, slots in (([1], block), ([1, 0], block), ([1, 0, 1], batch)):
+        with pytest.raises(ValueError, match="bits need a"):
+            encode_bit(BitBlock(np.array(bits), 1.0), slots, r=1.0)
 
 
 def test_amplitude_geometric_interpolation():
@@ -175,7 +178,7 @@ def _decode_frames(r, amplitude, bits, m, seed):
     corr_var = 2.0 * math.exp(-2.0 * r)
     root, frames = RngStream(seed), np.arange(bits.size)
     slots = sample_slots(r, root.rows(frames), (bits.size, m))
-    enc = encode_bit(BitBlock(bits, amplitude, m), slots, r)
+    enc = encode_bit(BitBlock(bits, amplitude), slots, r)
     joint = bell_measure(
         (enc.x1, enc.y1), (enc.x2, enc.y2), NOISELESS, root.rows(frames, 1)
     )

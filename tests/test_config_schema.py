@@ -3,6 +3,7 @@ domain it accepts and its default, through `load_config` and the report's
 config echo."""
 
 import configparser
+import math
 import re
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -72,7 +73,11 @@ ATTACK_SCHEMA = {
     "intercept_resend": {"fake_r": (st.floats(0.0, 100.0), 1.0)},
     "qnd": {
         "measured_quadrature": (QUADRATURES, Quadrature.X),
-        "measurement_var": (st.floats(0.0, 1e6, exclude_min=True), 1.0),
+        # Accepted only where the back-action 1/measurement_var is finite.
+        "measurement_var": (
+            st.floats(0.0, 1e6, exclude_min=True).filter(lambda v: 1.0 / v < math.inf),
+            1.0,
+        ),
     },
 }
 
