@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from .report import (
     write_spectrum_csv,
     write_trace_csv,
 )
-from .session import SessionConfig, VerdictStatus, compare_keys, run_session
+from .session import SEED_SPAN, SessionConfig, VerdictStatus, compare_keys, run_session
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +55,10 @@ MAX_GRID_POINTS = 1000
 # Sweep point i, session k runs at seed + stride*(i+1) + k; more sessions per
 # point than the stride would reuse seeds of the next point.
 _POINT_SEED_STRIDE = 7919
+
+# Names of the files a run may write besides report.json: frame numbers
+# are written with at least four digits.
+_RUN_FILE = re.compile(r"trace_frame_[0-9]{4,}\.csv|spectrum\.csv")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,6 +150,7 @@ def _cmd_run(args) -> int:
 
     report = build_run_report(transcript, tuple(trace_files), spectrum_file)
     write_report(out_dir / "report.json", report)
+    _remove_stale_run_files(out_dir, {*trace_files, spectrum_file})
 
     print(f"status: {report.status}" + (f" ({report.abort_reason})" if report.abort_reason else ""))
     if report.key is not None:
@@ -160,6 +166,18 @@ def _cmd_run(args) -> int:
     if transcript.outcome.accepted:
         return EXIT_OK
     return ABORT_EXIT_CODES[transcript.outcome.reason]
+
+
+def _remove_stale_run_files(out_dir: Path, written: set) -> None:
+    """Remove the trace and spectrum files in `out_dir` that this run did not
+    write, so the directory holds only what its report.json lists."""
+    for entry in out_dir.iterdir():
+        if (
+            entry.name not in written
+            and _RUN_FILE.fullmatch(entry.name)
+            and entry.is_file()
+        ):
+            entry.unlink()
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -239,8 +257,16 @@ def _cmd_sweep(args) -> int:
             f"{', '.join(SWEEP_PARAMS)}"
         )
 
-    # Every point is checked before the first session runs.
+    # Every point and seed is checked before the first session runs.
     points = [_sweep_point(base_cfg, args.param, value) for value in values]
+    last_seed = (
+        base_cfg.seed + _POINT_SEED_STRIDE * len(values) + args.sessions_per_point - 1
+    )
+    if last_seed >= SEED_SPAN:
+        raise ConfigError(
+            f"seed {base_cfg.seed} is too large for this sweep: its last session "
+            f"would run at seed {last_seed}, outside [0, 2**64)"
+        )
 
     lines = ["param,value,cd_db,ber,detection_rate"]
     for index, (value, (point_cfg, probe)) in enumerate(zip(values, points)):

@@ -8,11 +8,10 @@ across platforms.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .detection import NoiseSpectrum
 from .quadrature import Quadrature
@@ -38,15 +37,19 @@ def _render(row: str, *columns) -> str:
     """`row % values` for each row of equal-length columns, concatenated.
 
     One `%` over the interleaved values of every row renders each float as
-    `fmt` does, without a Python call per value or per row.  Array columns
-    go in as their `tolist()` Python floats, and any other sequence (a
-    `range` of row numbers) as it is, so `%d` formats ints, not floats.
+    `fmt` does, without a Python call per value or per row.  The columns are
+    arrays and go in as their `tolist()` Python floats.
     """
-    n, k = len(columns[0]), len(columns)
-    values = [None] * (n * k)
+    return row * len(columns[0]) % _interleave(columns)
+
+
+def _interleave(columns) -> tuple:
+    """The values of equal-length array columns, row by row."""
+    k = len(columns)
+    values = [None] * (len(columns[0]) * k)
     for i, column in enumerate(columns):
-        values[i::k] = column.tolist() if isinstance(column, np.ndarray) else column
-    return row * n % tuple(values)
+        values[i::k] = column.tolist()
+    return tuple(values)
 
 
 def _num(x) -> float | None:
@@ -215,10 +218,25 @@ def load_report(path: str | Path) -> RunReport:
     return RunReport.from_dict(json.loads(Path(path).read_text()))
 
 
+@functools.lru_cache(maxsize=1)
+def _trace_template(n: int) -> str:
+    """A trace CSV of n points with each point number and the header baked in
+    and a `%.10g` conversion for each value.  Every trace of a session has
+    the same length, so one cached template serves a whole run."""
+    return "point,alice,bob\n" + "".join(
+        f"{i},{_FLOAT},{_FLOAT}\n" for i in range(n)
+    )
+
+
 def write_trace_csv(path: str | Path, traces: BlockTraces) -> None:
     a, b = traces.alice, traces.bob
-    rows = _render(f"%d,{_FLOAT},{_FLOAT}\n", range(len(a)), a, b)
-    Path(path).write_text("point,alice,bob\n" + rows)
+    if len(a) != len(b):
+        raise ValueError(
+            f"trace of frame {traces.frame}: alice has {len(a)} points, bob {len(b)}"
+        )
+    text = _trace_template(len(a)) % _interleave((a, b))
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def write_spectrum_csv(path: str | Path, spectrum: NoiseSpectrum) -> None:

@@ -58,6 +58,10 @@ _PHASE_ATTACK = 7
 # The attacker's private source randomness lives in its own keyspace.
 _EVE_SEED_SALT = 0x517CC1B727220A95
 
+#: Seeds lie in [0, SEED_SPAN): `RngStream` keys on the seed's low 64 bits,
+#: so a seed outside that range would alias one inside it.
+SEED_SPAN = 2**64
+
 ABORT_EVE_SUSPECTED = "eavesdropper_suspected"
 ABORT_NO_KEY = "no_key_material"
 
@@ -105,6 +109,8 @@ class SessionConfig:
             )
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < SEED_SPAN:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -13,12 +14,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qcsim.adversary import ATTACKS, Tap
-from qcsim.cli import MAX_GRID_POINTS, _apply_sweep_param, _parse_grid, main
+from qcsim.cli import (
+    MAX_GRID_POINTS,
+    SWEEP_PARAMS,
+    _apply_sweep_param,
+    _parse_grid,
+    main,
+)
 from qcsim.config import load_config
 from qcsim.errors import ConfigError
 from qcsim.quadrature import R_MAX
 from qcsim.report import load_report
-from qcsim.session import SessionConfig
+from qcsim.session import SessionConfig, run_session
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SIX_BIT_CONFIG = """\
 [session]
@@ -267,6 +276,39 @@ def test_run_too_large_for_memory_exits_1_without_traceback(tmp_path, capsys):
     assert err.startswith("qcsim: error: ") and "allocate" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_run_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
+    # The random streams key on the seed's low 64 bits, so either seed would
+    # alias one inside the range and repeat its outputs.
+    config = _write(tmp_path, "session.ini", SIX_BIT_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--seed", seed, "--out", str(out)]) == 1
+    assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_into_reused_out_keeps_only_its_own_files(tmp_path):
+    config = str(CONFIGS / "blocking_session.ini")
+    out = tmp_path / "out"
+    out.mkdir()
+    # Names qcsim never writes: its frame numbers have at least four digits.
+    foreign = ["notes.txt", "trace_frame_7.csv", "trace_frame_12.csv"]
+    for name in foreign:
+        (out / name).write_text("not written by qcsim\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["run", "--config", config, "--seed", "1", "--spectrum", "--out", str(out)])
+        first = load_report(out / "report.json")
+        main(["run", "--config", config, "--seed", "2", "--out", str(out)])
+    report = load_report(out / "report.json")
+    assert first.spectrum_file is not None and report.spectrum_file is None
+    assert set(first.trace_files) - set(report.trace_files)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*foreign, "report.json", *report.trace_files]
+    )
+    for name in foreign:
+        assert (out / name).read_text() == "not written by qcsim\n"
 
 
 def test_run_rejects_subthreshold_correlation(tmp_path, capsys):
@@ -650,6 +692,128 @@ def test_sweep_rejects_unbounded_grid_before_any_session(
     err = capsys.readouterr().err
     assert "grid" in err and named in err
     assert not out.exists()
+
+
+def test_sweep_rejects_seed_that_would_wrap_before_any_session(
+    tmp_path, capsys, monkeypatch
+):
+    import qcsim.cli as cli
+
+    config = _write(tmp_path, "sweep.ini", SIX_BIT_CONFIG)
+    out = tmp_path / "x.csv"
+    # Two points of four sessions: the last runs at seed + 2*7919 + 3.
+    seed = 2**64 - 2 * 7919 - 3
+    argv = ["sweep", "--config", config, "--param", "tau", "--grid", "0:0.1:0.1",
+            "--out", str(out), "--seed"]
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    monkeypatch.setattr(cli, "_cd_probe", _no_session)
+    assert main([*argv, str(seed)]) == 1
+    assert f"seed {2**64}, outside [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.undo()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, str(seed - 1)]) == 0
+
+
+def _sweep_grid(start, stop, step) -> str:
+    return f"{start!r}:{stop!r}:{step!r}"
+
+
+NEAR_UNIT = st.floats(-0.5, 1.5)
+VALID_GRIDS = st.builds(
+    lambda start, step, k: _sweep_grid(start, start + k * step, step),
+    NEAR_UNIT,
+    st.floats(0.01, 1.0),
+    st.integers(0, 4),
+)
+INVALID_GRIDS = st.one_of(
+    # One non-finite value.
+    st.builds(
+        lambda values, bad, i: _sweep_grid(*values[:i], bad, *values[i + 1 :]),
+        st.tuples(NEAR_UNIT, NEAR_UNIT, NEAR_UNIT),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 2),
+    ),
+    # No points: stop below start.
+    st.builds(
+        lambda start, step: _sweep_grid(start, start - step, step),
+        NEAR_UNIT,
+        st.floats(0.01, 1.0),
+    ),
+    # More points than the cap.
+    st.builds(
+        lambda start, span: _sweep_grid(start, start + span, span / (MAX_GRID_POINTS + 1)),
+        NEAR_UNIT,
+        st.floats(0.01, 1.0),
+    ),
+    st.sampled_from(["", "0:1", "0:1:0", "0:1:-0.5", "a:b:c", "0:1:0.5:2"]),
+)
+# Half the grids are valid, of one to five points.
+SWEEP_GRIDS = st.booleans().flatmap(lambda valid: VALID_GRIDS if valid else INVALID_GRIDS)
+
+# No override, any integer, or a base whose derived seeds may pass 2**64.
+SWEEP_SEEDS = st.one_of(
+    st.none(),
+    st.integers(-(2**64), 2**64),
+    st.integers(2**64 - 5 * 7919 - 8000, 2**64 - 1),
+)
+
+SWEEP_BASES = st.fixed_dictionaries(
+    {
+        "r": st.floats(0.0, 3.0),
+        "key_bits": st.text("01", min_size=1, max_size=4),
+        "seed": st.integers(0, 100),
+        "frames": st.integers(1, 4),
+        "slots_per_frame": st.integers(2, 16),
+        "block_prob": UNIT,
+    }
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    session=SWEEP_BASES,
+    kind=st.sampled_from(sorted(ATTACKS)),
+    param=st.sampled_from([*SWEEP_PARAMS, "unknown"]),
+    grid=SWEEP_GRIDS,
+    # Half the draws ask for a few sessions, half for any count up to 8000.
+    sessions=st.integers(1, 8) | st.integers(0, 8000),
+    seed=SWEEP_SEEDS,
+)
+def test_sweep_never_raises_on_any_arguments(
+    tmp_path, monkeypatch, session, kind, param, grid, sessions, seed
+):
+    import qcsim.cli as cli
+
+    # Only the first session of each grid point runs; the others, which
+    # differ from it only in seed, repeat its transcript, so thousands of
+    # sessions per point cost about as much as one.
+    first = {}
+
+    def first_session_of_point(cfg):
+        point = (cfg.r, cfg.eta_out, cfg.margin, cfg.attack)
+        if point not in first:
+            first[point] = run_session(cfg)
+        return first[point]
+
+    monkeypatch.setattr(cli, "run_session", first_session_of_point)
+    run_dir = tmp_path / str(next(_RUNS))
+    run_dir.mkdir()
+    config = _write(run_dir, "sweep.ini", _ini({"session": session, "attack": {"kind": kind}}))
+    # The `=` forms keep a value that starts with "-" from reading as an option.
+    argv = ["sweep", "--config", config, "--param", param, f"--grid={grid}",
+            f"--sessions-per-point={sessions}", "--out", str(run_dir / "x.csv")]
+    if seed is not None:
+        argv.append(f"--seed={seed}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        code = main(argv)
+    assert code in (0, 1)
 
 
 def test_grid_values_are_start_plus_k_steps_up_to_the_cap():

@@ -37,7 +37,7 @@ SCHEMA = {
     "session": {
         "r": (st.floats(0.0, 10.0), 0.4375),
         "key_bits": (st.text("01", min_size=1, max_size=12), REQUIRED),
-        "seed": (st.integers(-(2**64), 2**64), REQUIRED),
+        "seed": (st.integers(0, 2**64 - 1), REQUIRED),
         "frames": (st.integers(1, 10**6), 6),
         "slots_per_frame": (st.integers(2, 10**6), 64),
         "margin": (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), 0.5),
@@ -204,6 +204,15 @@ def test_load_config_rejects_non_positive_cd_margin(tmp_path, margin):
     path = tmp_path / "margin.ini"
     path.write_text(_ini({"session": BASE, "thresholds": {"cd_margin_db": margin}}))
     with pytest.raises(ConfigError, match=r"^\[thresholds\] cd margin must be > 0 dB"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("seed", [-(2**64), -1, 2**64, 2**64 + 5])
+def test_load_config_rejects_seed_outside_64_bits(tmp_path, seed):
+    # The random streams key on 64 bits, so such a seed would alias one inside.
+    path = tmp_path / "seed.ini"
+    path.write_text(_ini({"session": {**BASE, "seed": seed}}))
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)"):
         load_config(path)
 
 

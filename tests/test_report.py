@@ -2,6 +2,7 @@
 `format(float(x), ".10g")` does, whatever the value."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -74,3 +75,20 @@ def test_spectrum_csv_matches_row_by_row_rendering(tmp_path, cols):
     path = tmp_path / "spectrum.csv"
     write_spectrum_csv(path, spectrum)
     assert path.read_text() == row_by_row_spectrum_csv(spectrum)
+
+
+def test_trace_csv_of_each_length_after_another(tmp_path):
+    # Each length gets its own rendering, whatever length was written before.
+    rng = np.random.default_rng(5)
+    for n in (5, 1000, 5, 2):
+        a, b = rng.standard_normal((2, n))
+        path = tmp_path / f"trace-{n}.csv"
+        write_trace_csv(path, BlockTraces(3, a, b))
+        assert path.read_text() == row_by_row_trace_csv(a, b)
+
+
+def test_trace_csv_rejects_traces_of_unequal_length(tmp_path):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="alice has 3 points, bob 4"):
+        write_trace_csv(path, BlockTraces(7, np.zeros(3), np.zeros(4)))
+    assert not path.exists()
