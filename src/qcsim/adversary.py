@@ -20,14 +20,13 @@ from typing import ClassVar, Protocol
 
 import numpy as np
 
-from .codec import BitBlock, decode_bit, encode_bit
+from .codec import decode_bit, encode_bit
 from .detection import JointMeasurement
 from .errors import DomainError
 from .quadrature import (
     FrameRows,
     Quadrature,
     RngStream,
-    SlotPair,
     SqueezeParam,
     _check_r,
     sample_slots,
@@ -313,6 +312,6 @@ class InterceptResendEve:
         self.record.observations.update(
             zip(np.asarray(frames).tolist(), measurement.d_plus)
         )
-        block = BitBlock(np.array(decoded.bit), self.amplitude)
-        out = encode_bit(block, SlotPair(real_x, real_y, 0.0, 0.0), self.session_r)
-        return out.x1, out.y1
+        return encode_bit(
+            np.array(decoded.bit), self.amplitude, real_x, real_y, self.session_r
+        )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import ATTACK_SWEEPS, swept_attack
+from .adversary import ATTACK_SWEEPS, NoAttack, swept_attack
 from .codec import signal_amplitude_for
 from .config import load_config
 from .detection import bell_measure, correlation_degree, spectrum
@@ -226,17 +226,12 @@ def _sweep_point(cfg: SessionConfig, name: str, value: float):
 
 
 def _cd_probe(cfg: SessionConfig, seed: int) -> float:
-    """Correlation degree of an unmodulated session (used when the hiding
-    window is empty and no key can be encoded)."""
-    n = max(2, cfg.frames * cfg.slots_per_frame)
+    """Correlation degree of an unmodulated, unattacked session (used when
+    the hiding window is empty and no key can be encoded)."""
+    n, eta = cfg.frames * cfg.slots_per_frame, cfg.eta_out * cfg.eta_back
     root = RngStream(seed)
     slots = sample_slots(cfg.r, root.substream(0, _PHASE_PROBE), n)
-    x, y = apply_loss(
-        slots.x1,
-        slots.y1,
-        cfg.eta_out * cfg.eta_back,
-        root.substream(1, _PHASE_PROBE),
-    )
+    x, y = apply_loss(slots.x1, slots.y1, eta, root.substream(1, _PHASE_PROBE))
     joint = bell_measure(
         (x, y), (slots.x2, slots.y2), cfg.detector, root.substream(2, _PHASE_PROBE)
     )
@@ -272,11 +267,15 @@ def _cmd_sweep(args) -> int:
     for index, (value, (point_cfg, probe)) in enumerate(zip(values, points)):
         point_seed = base_cfg.seed + _POINT_SEED_STRIDE * (index + 1)
         if probe:
-            cd_db = _cd_probe(point_cfg, point_seed)
-            lines.append(f"{args.param},{fmt(value)},{fmt(cd_db)},,")
+            # The probe runs no attack, so it measures an honest channel only.
+            kind, cd_db = point_cfg.attack.kind, ""
+            why = f", and cd_db is blank: the probe runs no {kind} attack"
+            if kind == NoAttack.kind:
+                cd_db, why = fmt(_cd_probe(point_cfg, point_seed)), ""
+            lines.append(f"{args.param},{fmt(value)},{cd_db},,")
             print(
                 f"qcsim: note: {args.param}={fmt(value)} leaves no hiding window; "
-                f"no key can be encoded there",
+                f"no key can be encoded there{why}",
                 file=sys.stderr,
             )
             continue

@@ -17,25 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HidingWindowError, SignalBudgetError
-from .quadrature import HIDING_THRESHOLD_R, SlotPair, SqueezeParam, hiding_window
-
-
-@dataclass(frozen=True)
-class BitBlock:
-    """Key bits of a block of frames: row i of a (frames, slots) slot block
-    carries bits[i], every row at one signal amplitude."""
-
-    bits: np.ndarray
-    amplitude: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
-            raise DomainError(
-                f"modulation amplitude must be finite and > 0, got {self.amplitude!r}"
-            )
-        bits = np.asarray(self.bits)
-        if not ((bits == 0) | (bits == 1)).all():
-            raise DomainError("bits must be 0 or 1")
+from .quadrature import HIDING_THRESHOLD_R, SqueezeParam, hiding_window
 
 
 def signal_amplitude_for(r: SqueezeParam, margin: float) -> float:
@@ -69,32 +51,34 @@ def signal_amplitude_for(r: SqueezeParam, margin: float) -> float:
     return amplitude
 
 
-def encode_bit(block: BitBlock, slot: SlotPair, r: SqueezeParam) -> SlotPair:
-    """Displace each row of the signal beam of a (frames, slots) block by
-    its own bit: bit 1 on the amplitude quadrature, bit 0 on the phase
-    quadrature.
+def encode_bit(bits, amplitude: float, x, y, r: SqueezeParam):
+    """Displace each row of a (frames, slots) signal beam (x, y) by its own
+    bit at one amplitude: bit 1 on the amplitude quadrature, bit 0 on the
+    phase quadrature; returns the displaced (x, y).
 
-    The idler quadratures are returned untouched (the sender never holds
-    them).  Refuses to encode a power outside the hiding window: such a
-    signal would either be exposed in the single-beam noise or undecodable.
+    Refuses to encode a power outside the hiding window: such a signal
+    would either be exposed in the single-beam noise or undecodable.
     """
-    s = block.amplitude
+    s = amplitude
+    if not (math.isfinite(s) and s > 0.0):
+        raise DomainError(f"modulation amplitude must be finite and > 0, got {s!r}")
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise DomainError("bits must be 0 or 1")
     window = hiding_window(r)
     if not window.contains(s * s):
         raise SignalBudgetError(
             f"signal power {s * s:g} outside the hiding window "
             f"({window.lower:g}, {window.upper:g}) at r={r:g}"
         )
-    shape, bits = np.shape(slot.x1), np.asarray(block.bits)
+    shape = np.shape(x)
     if len(shape) != 2 or bits.shape != shape[:1]:
         raise ValueError(
             f"{bits.size} bits need a (frames, slots) block of as many rows, "
             f"got shape {shape}"
         )
     am = (bits == 1)[:, None]
-    x1 = np.where(am, slot.x1 + s, slot.x1)
-    y1 = np.where(am, slot.y1, slot.y1 + s)
-    return SlotPair(x1, y1, slot.x2, slot.y2)
+    return np.where(am, x + s, x), np.where(am, y, y + s)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,16 @@ class DetectorConfig:
                 f"got {self.electronic_noise_var!r}"
             )
 
+    def add_noise(self, a, b, rng: RngStream | FrameRows):
+        """`a` and `b` each plus independent zero-mean electronic noise of the
+        configured variance, from one (2, *shape) draw; unchanged, and
+        nothing drawn, when the variance is 0."""
+        if self.electronic_noise_var == 0.0:
+            return a, b
+        scale = math.sqrt(self.electronic_noise_var)
+        noise_a, noise_b = rng.standard_normal((2, *np.shape(a)))
+        return a + scale * noise_a, b + scale * noise_b
+
 
 @dataclass(frozen=True)
 class JointMeasurement:
@@ -55,13 +65,9 @@ def bell_measure(
     `received` and `idler` are (x, y) pairs; each output channel gains
     independent zero-mean electronic noise of the configured variance.
     """
-    d_plus = received[0] + idler[0]
-    d_minus = received[1] - idler[1]
-    if cfg.electronic_noise_var > 0.0:
-        scale = math.sqrt(cfg.electronic_noise_var)
-        n_plus, n_minus = rng.standard_normal((2, *np.shape(d_plus)))
-        d_plus = d_plus + scale * n_plus
-        d_minus = d_minus + scale * n_minus
+    d_plus, d_minus = cfg.add_noise(
+        received[0] + idler[0], received[1] - idler[1], rng
+    )
     return JointMeasurement(d_plus=d_plus, d_minus=d_minus)
 
 
@@ -102,18 +108,14 @@ def db_below_snl(var):
 @dataclass(frozen=True)
 class SpectrumSettings:
     """The spectrum analyzer's span, resolution bandwidth and averaging, and
-    where the modulation tone sits.
-
-    Both quadratures produce statistically identical traces, so
-    `signal_quadrature` only labels which joint output would carry the tone.
-    """
+    the frequency of the modulation tone.  Both quadratures produce
+    statistically identical traces, so no quadrature is chosen."""
 
     span_low_hz: float = 1.0e6
     span_high_hz: float = 3.0e6
     rbw_hz: float = 30.0e3
     averages: int = 100
     signal_freq_hz: float = 2.0e6
-    signal_quadrature: Quadrature = Quadrature.X
 
     def __post_init__(self):
         lo, hi = self.span_low_hz, self.span_high_hz
@@ -166,15 +168,15 @@ def spectrum(
     lo, hi, rbw_hz = settings.span_low_hz, settings.span_high_hz, settings.rbw_hz
     n_bins = int(math.floor((hi - lo) / rbw_hz + 1e-9)) + 1
     freqs = lo + rbw_hz * np.arange(n_bins)
-    r_bins = np.full(n_bins, _check_r(r))
+    r = _check_r(r)
 
     sig_power = np.zeros(n_bins)
     if signal_power is not None:
         tone = round((settings.signal_freq_hz - lo) / rbw_hz)
         sig_power[min(int(tone), n_bins - 1)] = signal_power
 
-    c = np.cosh(2.0 * r_bins)
-    corr_floor = 2.0 * np.exp(-2.0 * r_bins) + detector.electronic_noise_var
+    c = np.cosh(2.0 * r)
+    corr_floor = 2.0 * np.exp(-2.0 * r) + detector.electronic_noise_var
 
     averages = settings.averages
     jitter = rng.generator().chisquare(averages, size=(3, n_bins)) / averages

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import AttackSpec, Eavesdropper, EveRecord, NoAttack
-from .codec import BitBlock, decode_bit, encode_bit, signal_amplitude_for
+from .codec import decode_bit, encode_bit, signal_amplitude_for
 from .detection import DetectorConfig, bell_measure, correlation_degree, db_below_snl
 from .errors import ConfigError, DomainError
 from .quadrature import (
     Quadrature,
     RngStream,
-    SlotPair,
     _check_r,
     apply_loss,
     expected_sum_variance,
@@ -280,13 +279,7 @@ def simulate_frame(
     simulating the frames one at a time.
     """
     slots, sig_x, sig_y = _outbound(cfg, frames, root, eve, phases=True)
-    idler_x, idler_y = slots.x2, slots.y2
-    encoded = encode_bit(
-        BitBlock(bits[frames], amplitude),
-        SlotPair(sig_x, sig_y, idler_x, idler_y),
-        cfg.r,
-    )
-    sig_x, sig_y = encoded.x1, encoded.y1
+    sig_x, sig_y = encode_bit(bits[frames], amplitude, sig_x, sig_y, cfg.r)
 
     # Return leg: attacker hooks near the sender's output, then channel loss.
     if eve is not None:
@@ -297,7 +290,7 @@ def simulate_frame(
 
     measurement = bell_measure(
         (sig_x, sig_y),
-        (idler_x, idler_y),
+        (slots.x2, slots.y2),
         cfg.detector,
         root.rows(frames, _PHASE_DETECTOR),
     )

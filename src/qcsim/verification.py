@@ -65,15 +65,9 @@ def record_block_traces(
             f"frame {unblocked.min()} is not blocked; traces are recorded only "
             f"while the beam is interrupted"
         )
-    a, b = sender_beam_x, idler_x
-    if a.shape != b.shape:
+    if sender_beam_x.shape != idler_x.shape:
         raise ValueError("sender and receiver traces must have equal length")
-    if cfg.electronic_noise_var > 0.0:
-        scale = math.sqrt(cfg.electronic_noise_var)
-        noise_a, noise_b = rng.standard_normal((2, *a.shape))
-        a = a + scale * noise_a
-        b = b + scale * noise_b
-    return a, b
+    return cfg.add_noise(sender_beam_x, idler_x, rng)
 
 
 @dataclass(frozen=True)

@@ -402,6 +402,17 @@ def test_run_with_invalid_spectrum_settings_writes_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_removed_signal_quadrature_key(tmp_path, capsys):
+    # The tone's quadrature changed no output, so the key no longer exists.
+    text = BLOCKING_CONFIG + "[spectrum]\nsignal_quadrature = y\n"
+    config = _write(tmp_path, "session.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "[spectrum] unknown option(s): signal_quadrature" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "spectrum_flag", [[], ["--spectrum"]], ids=["no-spectrum", "spectrum"]
 )
@@ -509,6 +520,25 @@ def test_sweep_r_flags_empty_window_rows(tmp_path, capsys):
     later = lines[-1].split(",")
     assert later[3] != "" and later[4] != ""
     assert "no hiding window" in capsys.readouterr().err
+
+
+def test_sweep_r_leaves_cd_blank_at_attacked_probe_points(tmp_path, capsys):
+    # The probe that measures an empty-window point runs no attack, so it
+    # cannot stand for an attacked channel.
+    config = _write(
+        tmp_path,
+        "sweep.ini",
+        "[session]\nr = 0.4375\nkey_bits = 100110\nseed = 5\n"
+        "frames = 20\nslots_per_frame = 500\n[attack]\nkind = tap\ntau = 0.5\n",
+    )
+    out = tmp_path / "r.csv"
+    argv = ["sweep", "--config", config, "--param", "r", "--grid", "0.1:0.5:0.2",
+            "--out", str(out), "--sessions-per-point", "1"]
+    assert main(argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "r,0.1,,,"
+    assert lines[2].startswith("r,0.3,") and lines[2].split(",")[2] != ""
+    assert "cd_db is blank: the probe runs no tap attack" in capsys.readouterr().err
 
 
 SWEEP_SESSION = """\

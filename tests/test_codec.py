@@ -3,70 +3,76 @@ import math
 import numpy as np
 import pytest
 
-from qcsim.codec import BitBlock, decode_bit, encode_bit, signal_amplitude_for
+from qcsim.codec import decode_bit, encode_bit, signal_amplitude_for
 from qcsim.detection import DetectorConfig, JointMeasurement, bell_measure
 from qcsim.errors import DomainError, HidingWindowError, SignalBudgetError
-from qcsim.quadrature import RngStream, SlotPair, hiding_window, sample_slots
+from qcsim.quadrature import RngStream, hiding_window, sample_slots
 
 NOISELESS = DetectorConfig(electronic_noise_var=0.0)
 
 
-def _one_slot(x1, y1, x2, y2):
-    """A block of one frame of one slot."""
-    return SlotPair(*(np.array([[v]]) for v in (x1, y1, x2, y2)))
+def _one_slot(x, y):
+    """The signal beam of a block of one frame of one slot."""
+    return np.array([[x]]), np.array([[y]])
+
+
+def _encode(bits, amplitude, rows=None):
+    """Encode `bits` at r=1 onto zero signal beams of one slot per bit row."""
+    zeros = np.zeros((len(bits) if rows is None else rows, 1))
+    return encode_bit(np.array(bits), amplitude, zeros, zeros, r=1.0)
 
 
 def test_symbol_requires_positive_amplitude():
     with pytest.raises(DomainError):
-        BitBlock(np.array([1]), 0.0)
+        _encode([1], 0.0)
     with pytest.raises(DomainError):
-        BitBlock(np.array([0]), -1.0)
+        _encode([0], -1.0)
     with pytest.raises(DomainError):
-        BitBlock(np.array([1]), math.inf)
+        _encode([1], math.inf)
 
 
 def test_frame_bit_symbol_consistency():
-    BitBlock(np.array([1, 0]), 1.0)
-    BitBlock(np.array([True, False]), 1.0)
-    BitBlock(np.array([1.0, 0.0]), 1.0)
+    _encode([1, 0], 1.0)
+    _encode([True, False], 1.0)
+    _encode([1.0, 0.0], 1.0)
     with pytest.raises(DomainError):
-        BitBlock(np.array([1, 2]), 1.0)
+        _encode([1, 2], 1.0)
 
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
 def test_bit_block_rejects_non_binary_bits(bad):
     with pytest.raises(DomainError, match="bits must be 0 or 1"):
-        BitBlock(np.array([0, 1, bad]), 1.0)
+        _encode([0, 1, bad], 1.0)
+
+
+def test_bit_checks_come_before_power_and_shape_checks():
+    # A bad amplitude or bit is named before the hiding window or the
+    # block shape is looked at.
+    with pytest.raises(DomainError, match="amplitude"):
+        _encode([2], 0.0, rows=3)
+    with pytest.raises(DomainError, match="bits must be 0 or 1"):
+        _encode([2], 100.0, rows=3)
+    with pytest.raises(SignalBudgetError):
+        _encode([1], 100.0, rows=3)
 
 
 def test_symbol_for_bit_mapping():
     # Bit 1 rides on the amplitude quadrature, bit 0 on the phase quadrature.
-    zeros = np.zeros((2, 1))
-    out = encode_bit(
-        BitBlock(np.array([1, 0]), 1.0), SlotPair(zeros, zeros, zeros, zeros), r=1.0
-    )
-    assert out.x1.tolist() == [[1.0], [0.0]]
-    assert out.y1.tolist() == [[0.0], [1.0]]
+    x, y = _encode([1, 0], 1.0)
+    assert x.tolist() == [[1.0], [0.0]]
+    assert y.tolist() == [[0.0], [1.0]]
 
 
 def test_encode_am_displaces_amplitude_only():
-    out = encode_bit(BitBlock(np.array([1]), 1.0), _one_slot(0.2, -0.4, 0.7, 0.1), r=1.0)
-    assert out.x1[0, 0] == pytest.approx(1.2)
-    assert out.y1[0, 0] == -0.4
-    assert out.x2[0, 0] == 0.7 and out.y2[0, 0] == 0.1
+    x, y = encode_bit(np.array([1]), 1.0, *_one_slot(0.2, -0.4), r=1.0)
+    assert x[0, 0] == pytest.approx(1.2)
+    assert y[0, 0] == -0.4
 
 
 def test_encode_pm_displaces_phase_only():
-    out = encode_bit(BitBlock(np.array([0]), 1.0), _one_slot(0.2, -0.4, 0.7, 0.1), r=1.0)
-    assert out.x1[0, 0] == 0.2
-    assert out.y1[0, 0] == pytest.approx(0.6)
-
-
-def test_encode_never_touches_idler_arrays():
-    slots = sample_slots(1.0, RngStream(3).rows([0]), (1, 16))
-    out = encode_bit(BitBlock(np.array([1]), 1.0), slots, r=1.0)
-    assert out.x2 is slots.x2
-    assert out.y2 is slots.y2
+    x, y = encode_bit(np.array([0]), 1.0, *_one_slot(0.2, -0.4), r=1.0)
+    assert x[0, 0] == 0.2
+    assert y[0, 0] == pytest.approx(0.6)
 
 
 def test_encode_rejects_power_outside_window():
@@ -80,14 +86,13 @@ def test_encode_rejects_power_outside_window():
         w.upper * 2.0,
     )
     for power in edges:
-        block = BitBlock(np.array([1]), math.sqrt(power))
         with pytest.raises(SignalBudgetError):
-            encode_bit(block, _one_slot(0.0, 0.0, 0.0, 0.0), r=1.0)
+            encode_bit(np.array([1]), math.sqrt(power), *_one_slot(0.0, 0.0), r=1.0)
 
 
 def test_encode_accepts_power_inside_window():
     # At r=1 a unit signal power sits inside (0.271, 3.762).
-    encode_bit(BitBlock(np.array([1]), 1.0), _one_slot(0.0, 0.0, 0.0, 0.0), r=1.0)
+    encode_bit(np.array([1]), 1.0, *_one_slot(0.0, 0.0), r=1.0)
 
 
 def test_encode_checks_batch_length():
@@ -98,7 +103,7 @@ def test_encode_checks_batch_length():
     batch = sample_slots(1.0, RngStream(3).substream(0), 16)
     for bits, slots in (([1], block), ([1, 0], block), ([1, 0, 1], batch)):
         with pytest.raises(ValueError, match="bits need a"):
-            encode_bit(BitBlock(np.array(bits), 1.0), slots, r=1.0)
+            encode_bit(np.array(bits), 1.0, slots.x1, slots.y1, r=1.0)
 
 
 def test_amplitude_geometric_interpolation():
@@ -178,10 +183,8 @@ def _decode_frames(r, amplitude, bits, m, seed):
     corr_var = 2.0 * math.exp(-2.0 * r)
     root, frames = RngStream(seed), np.arange(bits.size)
     slots = sample_slots(r, root.rows(frames), (bits.size, m))
-    enc = encode_bit(BitBlock(bits, amplitude), slots, r)
-    joint = bell_measure(
-        (enc.x1, enc.y1), (enc.x2, enc.y2), NOISELESS, root.rows(frames, 1)
-    )
+    encoded = encode_bit(bits, amplitude, slots.x1, slots.y1, r)
+    joint = bell_measure(encoded, (slots.x2, slots.y2), NOISELESS, root.rows(frames, 1))
     result = decode_bit(joint, amplitude, corr_var)
     return np.array(result.bit), np.array(result.confidence)
 

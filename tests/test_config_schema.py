@@ -28,8 +28,12 @@ from qcsim.report import config_to_dict
 REQUIRED = object()
 
 UNIT = st.floats(0.0, 1.0)
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+# The largest magnitude whose 10-significant-digit echo in report.json is
+# finite; the parser rejects larger ones, as
+# test_load_config_rejects_float_whose_echo_overflows checks.
+ECHO_MAX = 1.797693134e308
+FINITE = st.floats(-ECHO_MAX, ECHO_MAX)
+POSITIVE = st.floats(0.0, ECHO_MAX, exclude_min=True)
 QUADRATURES = st.sampled_from(Quadrature)
 
 # section -> key -> (values the parser must accept, default when blank).
@@ -62,7 +66,6 @@ SCHEMA = {
         "rbw_hz": (st.floats(0.0, 2.0e6, exclude_min=True), 30.0e3),
         "averages": (st.integers(1, 10**9), 100),
         "signal_freq_hz": (st.floats(1.0e6, 3.0e6), 2.0e6),
-        "signal_quadrature": (QUADRATURES, Quadrature.X),
     },
 }
 
@@ -216,6 +219,22 @@ def test_load_config_rejects_seed_outside_64_bits(tmp_path, seed):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("pearson", "1.7976931345e+308"),
+        ("rms_ratio", "-1.7976931348623157e308"),
+        ("cd_margin_db", "1.7976931348623157e308"),
+    ],
+)
+def test_load_config_rejects_float_whose_echo_overflows(tmp_path, key, raw):
+    # Rounded to 10 digits for report.json, these finite values become inf.
+    path = tmp_path / "echo.ini"
+    path.write_text(_ini({"session": BASE, "thresholds": {key: raw}}))
+    with pytest.raises(ConfigError, match=rf"\[thresholds\] {key}: must be finite"):
+        load_config(path)
+
+
 def test_required_keys_have_no_default(tmp_path):
     for key in BASE:
         path = tmp_path / "required.ini"
@@ -253,7 +272,6 @@ span_high_hz = 2.5e6
 rbw_hz = 10e3
 averages = 7
 signal_freq_hz = 2.25e6
-signal_quadrature = y
 """
 
 

@@ -14,6 +14,7 @@ from qcsim.detection import (
 )
 from qcsim.errors import DomainError
 from qcsim.quadrature import Quadrature, RngStream, sample_slots
+from qcsim.verification import record_block_traces
 
 NOISELESS = DetectorConfig(electronic_noise_var=0.0)
 CORR_0875 = 0.8337240393570168
@@ -27,6 +28,47 @@ def test_default_electronic_noise_is_8db_below_snl():
 def test_detector_config_rejects_negative_noise():
     with pytest.raises(DomainError):
         DetectorConfig(electronic_noise_var=-0.1)
+
+
+def _bell(a, b, cfg, rng):
+    """`bell_measure` of beams (a, b) against a zero idler: (d_plus, d_minus)."""
+    joint = bell_measure((a, b), (np.zeros_like(a), np.zeros_like(b)), cfg, rng)
+    return joint.d_plus, joint.d_minus
+
+
+def _traces(a, b, cfg, rng):
+    """`record_block_traces` of sender beam a and idler b, every frame blocked."""
+    frames = np.arange(a.shape[0])
+    return record_block_traces(np.ones(frames.size, bool), frames, a, b, cfg, rng)
+
+
+class _NoDraws:
+    def standard_normal(self, shape):
+        raise AssertionError(f"drew electronic noise of shape {shape}")
+
+
+NOISE_STAGES = pytest.mark.parametrize(
+    "stage", [_bell, _traces], ids=["bell_measure", "record_block_traces"]
+)
+
+
+@NOISE_STAGES
+def test_zero_electronic_noise_returns_inputs_and_draws_nothing(stage):
+    a, b = RngStream(31).rows([0, 1, 2]).standard_normal((2, 3, 8))
+    out_a, out_b = stage(a, b, NOISELESS, _NoDraws())
+    assert out_a.tobytes() == a.tobytes() and out_b.tobytes() == b.tobytes()
+
+
+@NOISE_STAGES
+def test_electronic_noise_is_one_draw_for_both_outputs(stage):
+    frames, e = np.array([2, 5, 7]), 0.3
+    a, b = RngStream(32).rows(frames).standard_normal((2, 3, 8))
+    out_a, out_b = stage(
+        a, b, DetectorConfig(electronic_noise_var=e), RngStream(33).rows(frames, 4)
+    )
+    noise_a, noise_b = RngStream(33).rows(frames, 4).standard_normal((2, 3, 8))
+    assert out_a.tobytes() == (a + math.sqrt(e) * noise_a).tobytes()
+    assert out_b.tobytes() == (b + math.sqrt(e) * noise_b).tobytes()
 
 
 def test_bell_measure_perfectly_correlated_inputs():
