@@ -51,15 +51,10 @@ class Tap:
     tau: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and 0.0 <= self.tau <= 1.0):
-            raise DomainError(f"tap fraction must lie in [0, 1], got {self.tau!r}")
+        _check_tau(self.tau)
 
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
-        return ProbeEve(self.probe)
-
-    def probe(self, x, y, rng: FrameRows):
-        result = tap(x, y, self.tau, rng)
-        return result.to_bob, result.eve[0]
+        return ProbeEve(tap, self.tau)
 
 
 @dataclass(frozen=True)
@@ -90,13 +85,7 @@ class Qnd:
         back_action_var(self.measurement_var)
 
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
-        return ProbeEve(self.probe)
-
-    def probe(self, x, y, rng: FrameRows):
-        result = qnd_measure(
-            x, y, self.measured_quadrature, self.measurement_var, rng
-        )
-        return result.to_bob, result.eve_estimate
+        return ProbeEve(qnd_measure, self.measured_quadrature, self.measurement_var)
 
 
 AttackSpec = NoAttack | Tap | InterceptResend | Qnd
@@ -154,25 +143,32 @@ class EveRecord:
 
 
 @dataclass(frozen=True)
-class TapResult:
+class ProbeResult:
+    """The (x, y) a probe forwards and the one record the eavesdropper keeps."""
+
     to_bob: tuple
-    eve: tuple
+    eve: float | np.ndarray
 
 
-def tap(x, y, tau: float, rng: RngStream | FrameRows) -> TapResult:
-    """Beam-splitter tap: the forwarded beam keeps sqrt(1-tau) of the field,
-    the eavesdropper port gets sqrt(tau), each with its vacuum counterpart."""
+def _check_tau(tau: float) -> float:
     tau = float(tau)
     if not (math.isfinite(tau) and 0.0 <= tau <= 1.0):
         raise DomainError(f"tap fraction must lie in [0, 1], got {tau!r}")
+    return tau
+
+
+def tap(x, y, tau: float, rng: RngStream | FrameRows) -> ProbeResult:
+    """Beam-splitter tap: the forwarded beam keeps sqrt(1-tau) of the field,
+    the eavesdropper port gets sqrt(tau), each with its vacuum counterpart.
+    She keeps her port's amplitude quadrature."""
+    tau = _check_tau(tau)
     vx, vy = rng.standard_normal((2, *np.shape(x)))
     keep = math.sqrt(1.0 - tau)
     take = math.sqrt(tau)
-    x_bob = keep * x + take * vx
-    y_bob = keep * y + take * vy
-    x_eve = take * x - keep * vx
-    y_eve = take * y - keep * vy
-    return TapResult(to_bob=(x_bob, y_bob), eve=(x_eve, y_eve))
+    return ProbeResult(
+        to_bob=(keep * x + take * vx, keep * y + take * vy),
+        eve=take * x - keep * vx,
+    )
 
 
 def back_action_var(measurement_var: float) -> float:
@@ -191,19 +187,13 @@ def back_action_var(measurement_var: float) -> float:
     return disturbance
 
 
-@dataclass(frozen=True)
-class QndResult:
-    eve_estimate: float | np.ndarray
-    to_bob: tuple
-
-
 def qnd_measure(
     x,
     y,
     quadrature: Quadrature,
     measurement_var: float,
     rng: RngStream | FrameRows,
-) -> QndResult:
+) -> ProbeResult:
     """Probe one quadrature nondestructively.
 
     The measured quadrature is forwarded unchanged and read out with noise
@@ -215,18 +205,18 @@ def qnd_measure(
     readout = math.sqrt(measurement_var) * readout
     kick = math.sqrt(disturbance) * kick
     if quadrature is Quadrature.X:
-        return QndResult(eve_estimate=x + readout, to_bob=(x, y + kick))
-    return QndResult(eve_estimate=y + readout, to_bob=(x + kick, y))
+        return ProbeResult(to_bob=(x, y + kick), eve=x + readout)
+    return ProbeResult(to_bob=(x + kick, y), eve=y + readout)
 
 
 class ProbeEve:
-    """Eavesdropper of an attack on the return leg only: she leaves the
-    outbound beam alone, and per returned chunk forwards the beam her
-    `probe(x, y, rng) -> ((x, y), observation)` passes on and keeps each
-    frame's row of the observation."""
+    """Eavesdropper of an attack on the return leg only: per returned chunk
+    she forwards what `probe(x, y, *params, rng) -> ProbeResult` passes on
+    and keeps each frame's row of its `eve` record."""
 
-    def __init__(self, probe):
+    def __init__(self, probe, *params):
         self._probe = probe
+        self._params = params
         self.record = EveRecord()
 
     def substitute(self, frames, x, y):
@@ -236,9 +226,9 @@ class ProbeEve:
         pass
 
     def relay(self, frames, x, y, rng: FrameRows):
-        to_bob, seen = self._probe(x, y, rng)
-        self.record.observations.update(zip(np.asarray(frames).tolist(), seen))
-        return to_bob
+        result = self._probe(x, y, *self._params, rng)
+        self.record.observations.update(zip(np.asarray(frames).tolist(), result.eve))
+        return result.to_bob
 
 
 class InterceptResendEve:
@@ -258,8 +248,7 @@ class InterceptResendEve:
         session_r: SqueezeParam,
         rng: RngStream,
     ):
-        spec = InterceptResend(fake_r)  # validates
-        self.fake_r = spec.fake_r
+        self.fake_r = _check_r(fake_r)
         self.amplitude = float(amplitude)
         self.session_r = float(session_r)
         self._rng = rng

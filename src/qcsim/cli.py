@@ -28,17 +28,22 @@ from .report import (
     write_spectrum_csv,
     write_trace_csv,
 )
-from .session import SEED_SPAN, SessionConfig, VerdictStatus, compare_keys, run_session
+from .session import (
+    ABORT_EVE_SUSPECTED,
+    ABORT_NO_KEY,
+    SEED_SPAN,
+    SessionConfig,
+    VerdictStatus,
+    compare_keys,
+    run_session,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EVE_SUSPECTED = 2
 EXIT_NO_KEY = 3
 
-ABORT_EXIT_CODES = {
-    "eavesdropper_suspected": EXIT_EVE_SUSPECTED,
-    "no_key_material": EXIT_NO_KEY,
-}
+ABORT_EXIT_CODES = {ABORT_EVE_SUSPECTED: EXIT_EVE_SUSPECTED, ABORT_NO_KEY: EXIT_NO_KEY}
 
 # Substream phases outside the range the session uses internally.
 _PHASE_SPECTRUM = 1000
@@ -113,10 +118,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except SimulationError as exc:
-        print(f"qcsim: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, MemoryError) as exc:
+    except (SimulationError, OSError, MemoryError) as exc:
         print(f"qcsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,10 +28,13 @@ def _parse_float(section: str, key: str, raw: str) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-    # report.json echoes the value at 10 significant digits, a rounding
-    # that overflows to infinity next to the largest double.
-    if not math.isfinite(float(fmt(value))):
+    if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    if not math.isfinite(float(fmt(value))):
+        raise ConfigError(
+            f"[{section}] {key}: {raw!r} is too large to echo in report.json "
+            f"at 10 significant digits"
+        )
     return value
 
 

@@ -146,17 +146,10 @@ class SlotPair:
 
 
 @dataclass(frozen=True)
-class VariancePair:
-    """Closed-form variances at a given correlation parameter."""
-
-    beam_var: float  # variance of any single quadrature, cosh(2r)
-    corr_var: float  # variance of x1+x2 and of y1-y2, 2*exp(-2r)
-
-
-@dataclass(frozen=True)
 class HidingWindow:
     """Open interval of signal powers that stay below the single-beam noise
-    yet above the squeezed floor."""
+    yet above the squeezed floor: its edges are the variance of the pair's
+    sum x1+x2 (and difference y1-y2) and that of one beam's quadrature."""
 
     lower: float  # 2*exp(-2r)
     upper: float  # cosh(2r)
@@ -177,12 +170,6 @@ def _check_r(r: float) -> float:
             f"correlation parameter must lie in [0, {R_MAX:g}], got {r!r}"
         )
     return r
-
-
-def epr_variance(r: SqueezeParam) -> VariancePair:
-    """Single-beam and sum/difference variances at correlation parameter r."""
-    r = _check_r(r)
-    return VariancePair(beam_var=math.cosh(2.0 * r), corr_var=2.0 * math.exp(-2.0 * r))
 
 
 def hiding_window(r: SqueezeParam) -> HidingWindow:

@@ -38,8 +38,8 @@ def test_tap_zero_is_transparent():
     assert np.array_equal(result.to_bob[0], slots.x1)
     assert np.array_equal(result.to_bob[1], slots.y1)
     # The eavesdropper port carries pure vacuum.
-    assert np.var(result.eve[0]) == pytest.approx(1.0, rel=0.05)
-    assert abs(np.corrcoef(result.eve[0], slots.x1)[0, 1]) < 0.05
+    assert np.var(result.eve) == pytest.approx(1.0, rel=0.05)
+    assert abs(np.corrcoef(result.eve, slots.x1)[0, 1]) < 0.05
 
 
 def test_tap_full_diversion_destroys_correlation():
@@ -52,7 +52,7 @@ def test_tap_full_diversion_destroys_correlation():
     # Bob sees vacuum plus his own noisy beam: above the two-beam SNL.
     assert np.var(out.d_plus) == pytest.approx(1.0 + COSH_0875, rel=0.02)
     # Eve now holds the full beam.
-    assert np.var(result.eve[0]) == pytest.approx(COSH_0875, rel=0.02)
+    assert np.var(result.eve) == pytest.approx(COSH_0875, rel=0.02)
 
 
 def test_tap_eavesdropper_port_variance():
@@ -61,7 +61,7 @@ def test_tap_eavesdropper_port_variance():
     for tau in (0.2, 0.6):
         result = tap(slots.x1, slots.y1, tau, RngStream(43).substream(int(tau * 10)))
         expected = tau * COSH_0875 + (1.0 - tau)
-        assert np.var(result.eve[0]) == pytest.approx(expected, rel=0.02)
+        assert np.var(result.eve) == pytest.approx(expected, rel=0.02)
 
 
 def test_tap_tradeoff_is_monotone():
@@ -75,7 +75,7 @@ def test_tap_tradeoff_is_monotone():
         result = tap(slots.x1, slots.y1, tau, RngStream(44).substream(i, 1))
         var_sum = float(np.var(result.to_bob[0] + slots.x2))
         cds.append(-10.0 * math.log10(var_sum / 2.0))
-        eve_corrs.append(abs(float(np.corrcoef(result.eve[0], slots.x1)[0, 1])))
+        eve_corrs.append(abs(float(np.corrcoef(result.eve, slots.x1)[0, 1])))
     assert all(a > b for a, b in zip(cds, cds[1:]))
     assert all(a < b for a, b in zip(eve_corrs, eve_corrs[1:]))
 
@@ -121,7 +121,7 @@ def test_qnd_back_action_lands_on_conjugate_only():
     assert np.var(out.d_minus) == pytest.approx(corr + 1.0, rel=0.02)
     assert np.var(out.d_plus) == pytest.approx(corr, rel=0.01)
     # Eve's readout carries the beam plus readout noise.
-    assert np.var(result.eve_estimate) == pytest.approx(COSH_0875 + 1.0, rel=0.02)
+    assert np.var(result.eve) == pytest.approx(COSH_0875 + 1.0, rel=0.02)
 
 
 def test_qnd_phase_probe_kicks_amplitude():

@@ -231,7 +231,22 @@ def test_load_config_rejects_float_whose_echo_overflows(tmp_path, key, raw):
     # Rounded to 10 digits for report.json, these finite values become inf.
     path = tmp_path / "echo.ini"
     path.write_text(_ini({"session": BASE, "thresholds": {key: raw}}))
-    with pytest.raises(ConfigError, match=rf"\[thresholds\] {key}: must be finite"):
+    with pytest.raises(
+        ConfigError,
+        match=rf"\[thresholds\] {key}: {re.escape(repr(raw))} is too large to echo "
+        r"in report\.json at 10 significant digits",
+    ):
+        load_config(path)
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", ["pearson", "rms_ratio", "cd_margin_db"])
+def test_load_config_rejects_float_that_is_not_finite(tmp_path, key, raw):
+    path = tmp_path / "nonfinite.ini"
+    path.write_text(_ini({"session": BASE, "thresholds": {key: raw}}))
+    with pytest.raises(
+        ConfigError, match=rf"\[thresholds\] {key}: must be finite, got '{raw}'"
+    ):
         load_config(path)
 
 

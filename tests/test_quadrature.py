@@ -11,7 +11,6 @@ from qcsim.quadrature import (
     RngStream,
     apply_loss,
     covariance_matrix,
-    epr_variance,
     expected_sum_variance,
     hiding_window,
     sample_slots,
@@ -24,9 +23,9 @@ CORR_0875 = 0.8337240393570168
 
 
 def test_epr_variance_vacuum():
-    vp = epr_variance(0.0)
-    assert vp.beam_var == 1.0
-    assert vp.corr_var == 2.0
+    window = hiding_window(0.0)
+    assert window.upper == 1.0
+    assert window.lower == 2.0
 
 
 @pytest.mark.parametrize(
@@ -37,23 +36,25 @@ def test_epr_variance_vacuum():
     ],
 )
 def test_epr_variance_closed_form(r, beam, corr):
-    vp = epr_variance(r)
-    assert vp.beam_var == pytest.approx(beam, rel=1e-12)
-    assert vp.corr_var == pytest.approx(corr, rel=1e-12)
+    window = hiding_window(r)
+    assert window.upper == pytest.approx(beam, rel=1e-12)
+    assert window.lower == pytest.approx(corr, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
 def test_epr_variance_rejects_bad_r(bad):
     with pytest.raises(DomainError):
-        epr_variance(bad)
+        hiding_window(bad)
 
 
 def test_variance_pair_mutual_consistency():
-    # beam_var and corr_var are tied through r: (2/corr + corr/2)/2 == beam.
+    # The window's edges, the single-beam variance (upper) and the
+    # sum/difference variance (lower), are tied through r:
+    # (2/lower + lower/2)/2 == upper.
     for r in np.linspace(0.0, 2.0, 9):
-        vp = epr_variance(float(r))
-        assert (2.0 / vp.corr_var + vp.corr_var / 2.0) / 2.0 == pytest.approx(
-            vp.beam_var, rel=1e-12
+        window = hiding_window(float(r))
+        assert (2.0 / window.lower + window.lower / 2.0) / 2.0 == pytest.approx(
+            window.upper, rel=1e-12
         )
 
 
