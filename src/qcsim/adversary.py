@@ -21,7 +21,7 @@ from typing import ClassVar, Protocol
 import numpy as np
 
 from .codec import decode_bit, encode_bit
-from .detection import JointMeasurement
+from .detection import DetectorConfig, bell_measure
 from .errors import DomainError
 from .quadrature import (
     FrameRows,
@@ -29,6 +29,8 @@ from .quadrature import (
     RngStream,
     SqueezeParam,
     _check_r,
+    beam_splitter,
+    hiding_window,
     sample_slots,
 )
 
@@ -162,13 +164,7 @@ def tap(x, y, tau: float, rng: RngStream | FrameRows) -> ProbeResult:
     the eavesdropper port gets sqrt(tau), each with its vacuum counterpart.
     She keeps her port's amplitude quadrature."""
     tau = _check_tau(tau)
-    vx, vy = rng.standard_normal((2, *np.shape(x)))
-    keep = math.sqrt(1.0 - tau)
-    take = math.sqrt(tau)
-    return ProbeResult(
-        to_bob=(keep * x + take * vx, keep * y + take * vy),
-        eve=take * x - keep * vx,
-    )
+    return ProbeResult(*beam_splitter(x, y, math.sqrt(1.0 - tau), math.sqrt(tau), rng))
 
 
 def back_action_var(measurement_var: float) -> float:
@@ -252,8 +248,10 @@ class InterceptResendEve:
         self.amplitude = float(amplitude)
         self.session_r = float(session_r)
         self._rng = rng
-        # Her decode floor: ideal detection of her own pair.
-        self._noise_var = 2.0 * math.exp(-2.0 * self.fake_r)
+        # Her decode floor: ideal detection of her own pair, by a joint
+        # detector that adds no electronic noise and so draws nothing.
+        self._detector = DetectorConfig(0.0)
+        self._noise_var = hiding_window(self.fake_r).lower
         # The chunk of her last `substitute` until it is relayed or dropped:
         # its frames, the genuine beams and the fake idlers.
         self._chunk = None
@@ -289,18 +287,14 @@ class InterceptResendEve:
         """Decode the returned fake beams and forward the re-modulated real beams.
 
         Returns (x, y) of the beams sent on toward the receiver; the decoded
-        bits go to `record.decoded_bits`.  `rng` is unused: her own source
-        draws from the stream she was created with.
+        bits go to `record.decoded_bits`.  Her detector is noiseless and her
+        source has its own stream, so nothing is drawn from `rng`.
         """
-        (real_x, real_y), (idler_x, idler_y) = self._take(frames)
-        measurement = JointMeasurement(
-            d_plus=encoded_x + idler_x, d_minus=encoded_y - idler_y
-        )
-        decoded = decode_bit(measurement, self.amplitude, self._noise_var)
+        real, idler = self._take(frames)
+        measurement = bell_measure((encoded_x, encoded_y), idler, self._detector, rng)
+        decoded = decode_bit(measurement, self._noise_var)
         self.record.decoded_bits.extend(decoded.bit)
         self.record.observations.update(
             zip(np.asarray(frames).tolist(), measurement.d_plus)
         )
-        return encode_bit(
-            np.array(decoded.bit), self.amplitude, real_x, real_y, self.session_r
-        )
+        return encode_bit(np.array(decoded.bit), self.amplitude, *real, self.session_r)

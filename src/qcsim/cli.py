@@ -32,6 +32,8 @@ from .session import (
     ABORT_EVE_SUSPECTED,
     ABORT_NO_KEY,
     SEED_SPAN,
+    _PHASE_PROBE,
+    _PHASE_SPECTRUM,
     SessionConfig,
     VerdictStatus,
     compare_keys,
@@ -44,10 +46,6 @@ EXIT_EVE_SUSPECTED = 2
 EXIT_NO_KEY = 3
 
 ABORT_EXIT_CODES = {ABORT_EVE_SUSPECTED: EXIT_EVE_SUSPECTED, ABORT_NO_KEY: EXIT_NO_KEY}
-
-# Substream phases outside the range the session uses internally.
-_PHASE_SPECTRUM = 1000
-_PHASE_PROBE = 1001
 
 #: Sweep parameters that set a session field: name -> SessionConfig field.
 SESSION_SWEEPS = {"r": "r", "eta": "eta_out", "margin": "margin"}
@@ -99,7 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--param", required=True, help=f"one of: {', '.join(SWEEP_PARAMS)}"
     )
-    sweep.add_argument("--grid", required=True, help="grid as start:stop:step")
+    sweep.add_argument(
+        "--grid",
+        required=True,
+        help="grid as start:stop:step; write --grid=START:STOP:STEP if START < 0",
+    )
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--seed", type=int, default=None, help="override the config seed")
     sweep.add_argument(

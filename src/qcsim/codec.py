@@ -89,7 +89,7 @@ class DecodedBit:
     confidence: list[float]
 
 
-def decode_bit(joint, amplitude: float, noise_var: float) -> DecodedBit:
+def decode_bit(joint, noise_var: float) -> DecodedBit:
     """Decide each frame's bit from the block means of the two joint
     outputs, given as (frames, slots) arrays.
 
@@ -98,8 +98,6 @@ def decode_bit(joint, amplitude: float, noise_var: float) -> DecodedBit:
     the two magnitudes in units of the expected standard error of a block
     mean, sqrt(noise_var / M).  An exact tie decodes as 0 with confidence 0.
     """
-    if not amplitude > 0.0:
-        raise DomainError(f"amplitude must be > 0, got {amplitude!r}")
     if not noise_var > 0.0:
         raise DomainError(f"noise_var must be > 0, got {noise_var!r}")
     d_plus, d_minus = joint.d_plus, joint.d_minus

@@ -65,10 +65,8 @@ def bell_measure(
     `received` and `idler` are (x, y) pairs; each output channel gains
     independent zero-mean electronic noise of the configured variance.
     """
-    d_plus, d_minus = cfg.add_noise(
-        received[0] + idler[0], received[1] - idler[1], rng
-    )
-    return JointMeasurement(d_plus=d_plus, d_minus=d_minus)
+    d = cfg.add_noise(received[0] + idler[0], received[1] - idler[1], rng)
+    return JointMeasurement(*d)
 
 
 @dataclass(frozen=True)

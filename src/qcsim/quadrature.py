@@ -230,24 +230,30 @@ def sample_slots(
     return slot_from_normals(r, *rng.standard_normal((4 if phases else 2, *shape)))
 
 
+def beam_splitter(x, y, t: float, r: float, rng: RngStream | FrameRows):
+    """Mix (x, y) with fresh vacuum (vx, vy) at amplitude transmission `t`
+    and reflection `r`; returns the transmitted (t*x + r*vx, t*y + r*vy)
+    and the reflected amplitude r*x - t*vx.  With `y` None only vx is
+    drawn, and the transmitted y is None."""
+    vacuum = rng.standard_normal((1 if y is None else 2, *np.shape(x)))
+    transmitted = (t * x + r * vacuum[0], None if y is None else t * y + r * vacuum[1])
+    return transmitted, r * x - t * vacuum[0]
+
+
 def apply_loss(x, y, eta: float, rng: RngStream | FrameRows):
     """Beam-splitter loss on one beam: keep sqrt(eta) of the field, admix
     sqrt(1-eta) of fresh vacuum on each quadrature independently.
 
     A lossless leg (eta = 1) returns `x` and `y` themselves and draws
     nothing: 1 * x + 0 * vacuum is x for every nonzero x.  With `y` None
-    only the amplitude vacuum vx is drawn, the first block of the full
-    draw, and the returned y is None.
+    the returned y is None.
     """
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta!r}")
     if eta == 1.0:
         return x, y
-    vacuum = rng.standard_normal((1 if y is None else 2, *np.shape(x)))
-    t = math.sqrt(eta)
-    f = math.sqrt(1.0 - eta)
-    return t * x + f * vacuum[0], None if y is None else t * y + f * vacuum[1]
+    return beam_splitter(x, y, math.sqrt(eta), math.sqrt(1.0 - eta), rng)[0]
 
 
 def expected_sum_variance(
@@ -263,8 +269,8 @@ def expected_sum_variance(
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta!r}")
-    if not electronic_noise_var >= 0.0:
-        raise DomainError("electronic noise variance must be >= 0")
+    if not (math.isfinite(electronic_noise_var) and electronic_noise_var >= 0.0):
+        raise DomainError("electronic noise variance must be finite and >= 0")
     c = math.cosh(2.0 * r)
     s = math.sinh(2.0 * r)
     return (1.0 + eta) * c - 2.0 * math.sqrt(eta) * s + (1.0 - eta) + electronic_noise_var

@@ -53,6 +53,8 @@ _PHASE_LOSS_BACK = 4
 _PHASE_DETECTOR = 5
 _PHASE_SCOPES = 6
 _PHASE_ATTACK = 7
+_PHASE_SPECTRUM = 1000  # the CLI's spectrum traces
+_PHASE_PROBE = 1001  # the CLI's unmodulated sweep probe
 
 # The attacker's private source randomness lives in its own keyspace.
 _EVE_SEED_SALT = 0x517CC1B727220A95
@@ -294,7 +296,7 @@ def simulate_frame(
         cfg.detector,
         root.rows(frames, _PHASE_DETECTOR),
     )
-    decoded = decode_bit(measurement, amplitude, noise_var)
+    decoded = decode_bit(measurement, noise_var)
     tally.decoded_bits.extend(decoded.bit)
     tally.confidences.extend(decoded.confidence)
     tally.frame_cd.extend(

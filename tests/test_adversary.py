@@ -164,7 +164,7 @@ def _run_intercept_chain(fake_r, session_r, bits, m, seed):
             NOISELESS,
             root.rows(frame, 1),
         )
-        bob_bits.extend(decode_bit(joint, amplitude, noise_var).bit)
+        bob_bits.extend(decode_bit(joint, noise_var).bit)
     return list(eve.record.decoded_bits), bob_bits, eve
 
 

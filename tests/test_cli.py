@@ -25,7 +25,7 @@ from qcsim.config import load_config
 from qcsim.errors import ConfigError
 from qcsim.quadrature import R_MAX
 from qcsim.report import load_report
-from qcsim.session import SessionConfig, run_session
+from qcsim.session import ABORT_NO_KEY, SessionConfig, run_session
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -636,6 +636,29 @@ def test_sweep_leaves_ber_empty_without_compared_bits(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 3
     assert all(row[3] == "" and row[4] != "" for row in rows)
+
+
+def test_sweep_counts_a_no_key_abort_as_no_detection(tmp_path, monkeypatch):
+    # With every frame blocked, each session aborts for want of key bits
+    # while its verdict stays honest: the point detects nothing.
+    import qcsim.cli as cli
+
+    config = _write(tmp_path, "sweep.ini", SIX_BIT_CONFIG + "block_prob = 1.0\n")
+    reasons = []
+
+    def recording(cfg):
+        transcript = run_session(cfg)
+        reasons.append(transcript.outcome.reason)
+        return transcript
+
+    monkeypatch.setattr(cli, "run_session", recording)
+    out = tmp_path / "blocked.csv"
+    argv = ["sweep", "--config", str(config), "--param", "margin", "--grid"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "0.4:0.6:0.1", "--out", str(out)]) == 0
+    assert reasons == [ABORT_NO_KEY] * 12
+    rows = [line.split(",")[3:] for line in out.read_text().splitlines()[1:]]
+    assert rows == [["", "0"]] * 3
 
 
 def test_sweep_rejects_colliding_point_seeds(tmp_path, capsys):

@@ -142,20 +142,20 @@ def test_amplitude_rejects_bad_margin(margin):
 
 def test_decode_pure_amplitude_signal():
     joint = JointMeasurement(d_plus=np.full((1, 8), 1.0), d_minus=np.zeros((1, 8)))
-    out = decode_bit(joint, amplitude=1.0, noise_var=0.27)
+    out = decode_bit(joint, noise_var=0.27)
     assert out.bit == [1]
     assert out.confidence[0] > 0
 
 
 def test_decode_pure_phase_signal():
     joint = JointMeasurement(d_plus=np.zeros((1, 8)), d_minus=np.full((1, 8), 1.0))
-    out = decode_bit(joint, amplitude=1.0, noise_var=0.27)
+    out = decode_bit(joint, noise_var=0.27)
     assert out.bit == [0]
 
 
 def test_decode_tie_breaks_to_zero():
     joint = JointMeasurement(d_plus=np.full((1, 4), 0.5), d_minus=np.full((1, 4), -0.5))
-    out = decode_bit(joint, amplitude=1.0, noise_var=0.27)
+    out = decode_bit(joint, noise_var=0.27)
     assert out.bit == [0]
     assert out.confidence == [0.0]
 
@@ -165,16 +165,16 @@ def test_decode_accepts_measurement_sequence():
     seq = JointMeasurement(
         np.array([[1.0, 0.8], [0.1, -0.1]]), np.array([[0.1, -0.1], [1.0, 0.8]])
     )
-    assert decode_bit(seq, amplitude=1.0, noise_var=0.27).bit == [1, 0]
+    assert decode_bit(seq, noise_var=0.27).bit == [1, 0]
     with pytest.raises(ValueError):
-        decode_bit(JointMeasurement(np.ones(2), np.ones(2)), 1.0, 0.27)
+        decode_bit(JointMeasurement(np.ones(2), np.ones(2)), 0.27)
 
 
 def test_decode_rejects_empty_frame():
     with pytest.raises(ValueError):
-        decode_bit(JointMeasurement(np.empty((1, 0)), np.empty((1, 0))), 1.0, 0.27)
+        decode_bit(JointMeasurement(np.empty((1, 0)), np.empty((1, 0))), 0.27)
     with pytest.raises(DomainError):
-        decode_bit(JointMeasurement(np.ones((1, 2)), np.ones((1, 2))), 1.0, 0.0)
+        decode_bit(JointMeasurement(np.ones((1, 2)), np.ones((1, 2))), 0.0)
 
 
 def _decode_frames(r, amplitude, bits, m, seed):
@@ -185,7 +185,7 @@ def _decode_frames(r, amplitude, bits, m, seed):
     slots = sample_slots(r, root.rows(frames), (bits.size, m))
     encoded = encode_bit(bits, amplitude, slots.x1, slots.y1, r)
     joint = bell_measure(encoded, (slots.x2, slots.y2), NOISELESS, root.rows(frames, 1))
-    result = decode_bit(joint, amplitude, corr_var)
+    result = decode_bit(joint, corr_var)
     return np.array(result.bit), np.array(result.confidence)
 
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcsim.detection import (
+    DEFAULT_ELECTRONIC_NOISE_VAR,
     DEFAULT_ELECTRONIC_NOISE_VAR,
     DetectorConfig,
     JointMeasurement,
@@ -216,6 +219,38 @@ def test_spectrum_correlation_excess_dominates_single_beam_excess():
     assert 10.0 * math.log10(1.0 + 1.0 / (2.0 * math.exp(-2.0))) > 10.0 * math.log10(
         1.0 + 1.0 / math.cosh(2.0)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.floats(0.0, 3.0),
+    e=st.floats(0.0, 2.0),
+    averages=st.integers(1, 400),
+    signal_power=st.none() | st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32),
+)
+@example(
+    r=0.4375, e=DEFAULT_ELECTRONIC_NOISE_VAR, averages=100, signal_power=1.0, seed=0
+)
+def test_spectrum_levels_are_their_closed_forms(r, e, averages, signal_power, seed):
+    # 0 dB, (cosh 2r + s^2)/2 and (2e^-2r + e + s^2)/2 relative to the
+    # two-beam SNL, each times its chi2 jitter redrawn from the same stream.
+    span = SpectrumSettings(averages=averages)
+    rng = RngStream(seed).substream(0)
+    spec = spectrum(r, span, DetectorConfig(e), rng, signal_power)
+    n_bins = spec.freq_hz.size
+    jitter = rng.generator().chisquare(averages, size=(3, n_bins)) / averages
+    s2 = np.zeros(n_bins)
+    if signal_power is not None:
+        s2[np.argmin(np.abs(spec.freq_hz - span.signal_freq_hz))] = signal_power
+    levels = (
+        1.0,
+        (math.cosh(2.0 * r) + s2) / 2.0,
+        (2.0 * math.exp(-2.0 * r) + e + s2) / 2.0,
+    )
+    traces = (spec.snl_db, spec.single_beam_db, spec.correlation_db)
+    for trace, level, j in zip(traces, levels, jitter):
+        assert np.allclose(trace, 10.0 * np.log10(level * j), rtol=0.0, atol=1e-9)
 
 
 def test_spectrum_input_validation():

@@ -10,6 +10,7 @@ from qcsim.quadrature import (
     HIDING_THRESHOLD_R,
     RngStream,
     apply_loss,
+    beam_splitter,
     covariance_matrix,
     expected_sum_variance,
     hiding_window,
@@ -187,6 +188,21 @@ def test_apply_loss_preserves_shot_noise_floor(eta):
     assert abs(np.var(y) - 1.0) <= tol
 
 
+def test_beam_splitter_ports_share_one_vacuum_draw():
+    x, y = RngStream(12).standard_normal((2, 5))
+    t, r = math.sqrt(0.7), math.sqrt(0.3)
+    vx, vy = RngStream(13).standard_normal((2, 5))
+    (out_x, out_y), reflected = beam_splitter(x, y, t, r, RngStream(13))
+    assert np.array_equal(out_x, t * x + r * vx)
+    assert np.array_equal(out_y, t * y + r * vy)
+    assert np.array_equal(reflected, r * x - t * vx)
+    # Without a phase quadrature only vx is drawn, the first block.
+    (out_x, out_y), reflected = beam_splitter(x, None, t, r, RngStream(13))
+    assert out_y is None
+    assert np.array_equal(out_x, t * x + r * vx)
+    assert np.array_equal(reflected, r * x - t * vx)
+
+
 @pytest.mark.parametrize("eta", [-0.1, 1.1, float("nan")])
 def test_apply_loss_rejects_bad_eta(eta):
     with pytest.raises(DomainError):
@@ -236,6 +252,14 @@ def test_expected_sum_variance_limits():
         expected_sum_variance(0.4375, 1.5)
 
 
+@pytest.mark.parametrize("noise_var", [-0.1, math.inf, math.nan])
+def test_expected_sum_variance_rejects_noise_that_a_detector_rejects(noise_var):
+    # The same finite-and->=0 rule as DetectorConfig: an infinite electronic
+    # noise would otherwise give an infinite variance.
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        expected_sum_variance(0.4375, 1.0, noise_var)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=-(2**70), max_value=2**70),
@@ -273,6 +297,23 @@ def test_numpy_integer_seed_index_and_phase_draw_what_python_ints_draw(np_int):
     assert np.array_equal(child.generator().standard_normal(8), expected)
     rows = root.rows(np.array([4], dtype=np_int), np_int(2))
     assert np.array_equal(rows.standard_normal((1, 1, 8))[0, 0], expected)
+
+
+def test_numpy_bit_stream_is_pinned():
+    # The first normals of one substream, as NumPy draws them today.  A
+    # NumPy release that changes Philox or its normal sampler fails here,
+    # by name, before the physics goldens that hash every sample.
+    drawn = RngStream(0).substream(0, 2).generator().standard_normal(8)
+    assert drawn.tolist() == [
+        -2.411595260296375,
+        0.35046640029081516,
+        -0.7567565191616508,
+        -0.2659625979777875,
+        -1.3978601830950768,
+        -0.5795762799781798,
+        0.15762193809665298,
+        -0.33321599317884826,
+    ]
 
 
 def test_frame_rows_reject_negative_indices_and_mismatched_draws():

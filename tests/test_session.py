@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qcsim import session
 from qcsim.adversary import InterceptResend, NoAttack, Qnd, Tap
 from qcsim.detection import DetectorConfig
 from qcsim.errors import ConfigError, HidingWindowError
@@ -270,3 +271,11 @@ def test_blocked_frames_record_traces_of_frame_length():
         assert traces.alice.size == 40
         assert traces.bob.size == 40
     assert len(transcript.frame_cd) == 12 - len(transcript.blocked_frames)
+
+
+def test_substream_phases_are_distinct():
+    # Every substream phase, the CLI's included, lives in the session
+    # module; two equal phases would key the same streams.
+    phases = {k: v for k, v in vars(session).items() if k.startswith("_PHASE_")}
+    assert {"_PHASE_EPR", "_PHASE_SPECTRUM", "_PHASE_PROBE"} <= phases.keys()
+    assert len(set(phases.values())) == len(phases)

@@ -1,5 +1,5 @@
 """Source checks that need no linter: every name a qcsim module imports is
-used in that module.
+used in that module, and only the optical elements draw normals.
 
 `__init__.py` is left out, because its imports are the package's public
 names and are re-exported rather than used.
@@ -41,3 +41,57 @@ def test_check_flags_an_unused_import():
         "print(sep, numpy)\n"
     )
     assert _unused_imports(tree) == ["math (line 1)", "p (line 2)"]
+
+
+#: The functions of `src/qcsim/` that may call `.standard_normal(`: the EPR
+#: source, the beam splitter, the QND probe and the detector noise, one
+#: function per element that admits noise, and the stream draw they go
+#: through.  A second copy of an element fails here.
+DRAWS_NORMALS = {
+    "sample_slots",
+    "beam_splitter",
+    "qnd_measure",
+    "DetectorConfig.add_noise",
+    "RngStream.standard_normal",
+}
+
+
+def _normal_draws(tree: ast.Module) -> list[str]:
+    """Qualified names of the functions or classes that call
+    `.standard_normal(`, one entry per call, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (*scope, child.name)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "standard_normal"
+            ):
+                found.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_optical_elements_draw_normals():
+    drawn = {
+        name
+        for path in MODULES
+        for name in _normal_draws(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert drawn == DRAWS_NORMALS
+
+
+def test_check_names_each_function_that_draws_normals():
+    tree = ast.parse(
+        "class A:\n    def f(self, rng):\n        return rng.standard_normal(2)\n"
+        "def g(rng):\n    draw = rng.standard_normal\n"
+        "    return [draw(1), rng.standard_normal(1)]\n"
+        "x = RNG.standard_normal(3)\n"
+    )
+    assert _normal_draws(tree) == ["A.f", "g", "<module>"]

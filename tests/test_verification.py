@@ -220,6 +220,21 @@ def test_verdict_flags_correlation_drop_on_either_channel():
     assert verdict([], cd, thresholds).status is VerdictStatus.HONEST
 
 
+def test_verdict_rms_ratio_of_identical_traces():
+    # Identical traces have rms_diff == 0.  Two dark traces (rms_sum == 0
+    # too) contribute the ratio 0, so beside a frame of ratio 0.9 the mean
+    # stays under 0.5; any other traces contribute an infinite ratio.
+    thresholds = Thresholds(pearson=0.0, rms_ratio=0.5).resolve(0.4375)
+    dark = TraceStats(pearson=-0.70, rms_sum=0.0, rms_diff=0.0)
+    below = TraceStats(pearson=-0.70, rms_sum=0.9, rms_diff=1.0)
+    assert verdict([dark, below], None, thresholds).status is VerdictStatus.HONEST
+    equal = TraceStats(pearson=-0.70, rms_sum=0.41, rms_diff=0.0)
+    thresholds = Thresholds().resolve(0.4375)
+    result = verdict([equal] + [_honest_stats()] * 4, None, thresholds)
+    assert result.status is VerdictStatus.EVE_SUSPECTED
+    assert result.reasons == (REASON_RMS,)
+
+
 def test_verdict_requires_some_evidence():
     with pytest.raises(ValueError):
         verdict([], None, Thresholds().resolve(0.4375))
