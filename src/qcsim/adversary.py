@@ -20,7 +20,7 @@ from typing import ClassVar, Protocol
 
 import numpy as np
 
-from .codec import decode_bit, encode_bit
+from .codec import decide_bits, encode_bit
 from .detection import DetectorConfig, bell_measure
 from .errors import DomainError
 from .quadrature import (
@@ -30,7 +30,6 @@ from .quadrature import (
     SqueezeParam,
     _check_r,
     beam_splitter,
-    hiding_window,
     sample_slots,
 )
 
@@ -248,10 +247,9 @@ class InterceptResendEve:
         self.amplitude = float(amplitude)
         self.session_r = float(session_r)
         self._rng = rng
-        # Her decode floor: ideal detection of her own pair, by a joint
-        # detector that adds no electronic noise and so draws nothing.
+        # An ideal joint detector: it adds no electronic noise and so
+        # draws nothing.
         self._detector = DetectorConfig(0.0)
-        self._noise_var = hiding_window(self.fake_r).lower
         # The chunk of her last `substitute` until it is relayed or dropped:
         # its frames, the genuine beams and the fake idlers.
         self._chunk = None
@@ -292,9 +290,9 @@ class InterceptResendEve:
         """
         real, idler = self._take(frames)
         measurement = bell_measure((encoded_x, encoded_y), idler, self._detector, rng)
-        decoded = decode_bit(measurement, self._noise_var)
-        self.record.decoded_bits.extend(decoded.bit)
+        bits = decide_bits(measurement)
+        self.record.decoded_bits.extend(bits)
         self.record.observations.update(
             zip(np.asarray(frames).tolist(), measurement.d_plus)
         )
-        return encode_bit(np.array(decoded.bit), self.amplitude, *real, self.session_r)
+        return encode_bit(np.array(bits), self.amplitude, *real, self.session_r)

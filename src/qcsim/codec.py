@@ -89,6 +89,23 @@ class DecodedBit:
     confidence: list[float]
 
 
+def _block_means(joint):
+    """|mean(d_plus)| and |mean(d_minus)| per frame of the two joint
+    outputs, given as (frames, slots) arrays."""
+    d_plus, d_minus = joint.d_plus, joint.d_minus
+    if d_plus.ndim != 2 or d_plus.shape != d_minus.shape:
+        raise ValueError("d_plus and d_minus must be equally shaped (frames, slots)")
+    if d_plus.shape[-1] == 0:
+        raise ValueError("cannot decode an empty frame")
+    return np.abs(np.mean(d_plus, axis=-1)), np.abs(np.mean(d_minus, axis=-1))
+
+
+def decide_bits(joint) -> list[int]:
+    """Each frame's bit as `decode_bit` decides it, without a confidence."""
+    m_plus, m_minus = _block_means(joint)
+    return (m_plus > m_minus).astype(int).tolist()
+
+
 def decode_bit(joint, noise_var: float) -> DecodedBit:
     """Decide each frame's bit from the block means of the two joint
     outputs, given as (frames, slots) arrays.
@@ -100,14 +117,8 @@ def decode_bit(joint, noise_var: float) -> DecodedBit:
     """
     if not noise_var > 0.0:
         raise DomainError(f"noise_var must be > 0, got {noise_var!r}")
-    d_plus, d_minus = joint.d_plus, joint.d_minus
-    if d_plus.ndim != 2 or d_plus.shape != d_minus.shape:
-        raise ValueError("d_plus and d_minus must be equally shaped (frames, slots)")
-    if d_plus.shape[-1] == 0:
-        raise ValueError("cannot decode an empty frame")
-    m_plus = np.abs(np.mean(d_plus, axis=-1))
-    m_minus = np.abs(np.mean(d_minus, axis=-1))
-    sigma = math.sqrt(noise_var / d_plus.shape[-1])
+    m_plus, m_minus = _block_means(joint)
+    sigma = math.sqrt(noise_var / joint.d_plus.shape[-1])
     # A tie gives bit 0 and a zero gap, hence confidence 0.
     return DecodedBit(
         bit=(m_plus > m_minus).astype(int).tolist(),

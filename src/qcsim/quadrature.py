@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +32,14 @@ R_MAX = 100.0
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+
+#: Normals per frame row from which a draw of two or more rows fills half
+#: of them on a helper thread; a shorter row costs more to hand over.
+_THREAD_ROW_NORMALS = 8192
+
+# (pid, job queue or None) of this process's row-filling helper thread.
+_helper = None
+_helper_lock = threading.Lock()
 
 # A float for the correlation parameter r; kept as an alias for readability.
 SqueezeParam = float
@@ -93,11 +104,14 @@ class FrameRows:
     A draw of shape (k, frames, *rest) fills frame i's (k, *rest) block with
     exactly what ``RngStream(seed, ids[i]).generator()`` would draw first,
     so batching frames moves no sample.  The rows come from one Philox
-    bit generator per draw.  Before each row its state is assigned from
+    bit generator per thread.  Before each row its state is assigned from
     plain Python ints: key (seed, ids[i]), counter 0 and an empty buffer,
     the state a fresh ``Philox(key=...)`` starts in.  Setting a state held
     in ints costs about half of setting one held in NumPy arrays, and
-    skips the entropy pull of building a fresh generator.
+    skips the entropy pull of building a fresh generator.  With two or
+    more usable CPUs, a helper thread fills the second half of a draw of
+    two or more rows of at least `_THREAD_ROW_NORMALS` normals each; NumPy
+    releases the GIL while it fills.
     """
 
     def __init__(self, seed: int, ids: np.ndarray):
@@ -112,22 +126,77 @@ class FrameRows:
             )
         # Frame-major, so that each frame's block is one contiguous fill.
         out = np.empty((n_frames, k, *rest))
-        key = [self.seed, 0]
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        bit_generator = np.random.Philox(key=0)
-        draw = np.random.Generator(bit_generator).standard_normal
-        for row, substream_id in zip(out, self.ids.tolist()):
-            key[1] = substream_id
-            bit_generator.state = state
-            draw(out=row)
+        ids = self.ids.tolist()
+        if n_frames > 1 and out[0].size >= _THREAD_ROW_NORMALS:
+            _fill_on_two_threads(self.seed, ids, out)
+        else:
+            _fill_rows(self.seed, ids, out)
         return out.swapaxes(0, 1)
+
+
+def _fill_rows(seed: int, ids: list[int], rows: np.ndarray) -> None:
+    """Fill rows[i] with the first draw of substream (seed, ids[i])."""
+    key = [seed, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_generator = np.random.Philox(key=0)
+    draw = np.random.Generator(bit_generator).standard_normal
+    for row, substream_id in zip(rows, ids):
+        key[1] = substream_id
+        bit_generator.state = state
+        draw(out=row)
+
+
+def _fill_on_two_threads(seed: int, ids: list[int], rows: np.ndarray) -> None:
+    """`_fill_rows`, with the second half of the rows on the helper thread
+    if there is one."""
+    jobs = _row_helper()
+    if jobs is None:
+        return _fill_rows(seed, ids, rows)
+    half = (len(ids) + 1) // 2
+    # A queue of its own per job, so that neither a draw on another thread
+    # nor one interrupted while it waits takes this draw's result.
+    done = queue.SimpleQueue()
+    jobs.put((seed, ids[half:], rows[half:], done))
+    try:
+        _fill_rows(seed, ids[:half], rows[:half])
+    finally:
+        error = done.get()
+    if error is not None:
+        raise error
+
+
+def _serve(jobs) -> None:
+    """Fill the rows of each job from `jobs` and put None, or the error the
+    waiting draw re-raises, on the job's own queue."""
+    while True:
+        seed, ids, rows, done = jobs.get()
+        try:
+            _fill_rows(seed, ids, rows)
+            done.put(None)
+        except BaseException as error:
+            done.put(error)
+
+
+def _row_helper():
+    """The job queue of this process's helper thread, started on first
+    use; None with fewer than two usable CPUs.  Kept per pid, so a forked
+    child starts its own."""
+    global _helper
+    with _helper_lock:
+        if _helper is None or _helper[0] != os.getpid():
+            jobs = None
+            if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2:
+                jobs = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
+            _helper = (os.getpid(), jobs)
+        return _helper[1]
 
 
 @dataclass(frozen=True)
@@ -230,14 +299,17 @@ def sample_slots(
     return slot_from_normals(r, *rng.standard_normal((4 if phases else 2, *shape)))
 
 
-def beam_splitter(x, y, t: float, r: float, rng: RngStream | FrameRows):
+def beam_splitter(
+    x, y, t: float, r: float, rng: RngStream | FrameRows, *, reflect: bool = True
+):
     """Mix (x, y) with fresh vacuum (vx, vy) at amplitude transmission `t`
     and reflection `r`; returns the transmitted (t*x + r*vx, t*y + r*vy)
-    and the reflected amplitude r*x - t*vx.  With `y` None only vx is
-    drawn, and the transmitted y is None."""
+    and the reflected amplitude r*x - t*vx, or None for it when `reflect`
+    is false.  With `y` None only vx is drawn, and the transmitted y is
+    None."""
     vacuum = rng.standard_normal((1 if y is None else 2, *np.shape(x)))
     transmitted = (t * x + r * vacuum[0], None if y is None else t * y + r * vacuum[1])
-    return transmitted, r * x - t * vacuum[0]
+    return transmitted, r * x - t * vacuum[0] if reflect else None
 
 
 def apply_loss(x, y, eta: float, rng: RngStream | FrameRows):
@@ -253,7 +325,8 @@ def apply_loss(x, y, eta: float, rng: RngStream | FrameRows):
         raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta!r}")
     if eta == 1.0:
         return x, y
-    return beam_splitter(x, y, math.sqrt(eta), math.sqrt(1.0 - eta), rng)[0]
+    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+    return beam_splitter(x, y, t, r, rng, reflect=False)[0]
 
 
 def expected_sum_variance(

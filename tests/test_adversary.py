@@ -190,6 +190,15 @@ def test_intercept_resend_with_uncorrelated_fake_source():
     assert power / 2.0 < 1.0
 
 
+def test_intercept_resend_decoded_bits_are_pinned():
+    # With an uncorrelated fake source and four slots per frame she misreads
+    # 6 of 16 bits, so her decision rule, not only the sent bits, sets
+    # this list.
+    bits = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0]
+    eve_bits, _, _ = _run_intercept_chain(0.0, 0.4375, bits, 4, seed=52)
+    assert eve_bits == [1, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0]
+
+
 def test_intercept_fake_beam_is_independent_of_idler():
     n = 10_000
     slots = sample_slots(0.4375, RngStream(50).substream(0), n)

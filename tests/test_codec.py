@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcsim.codec import decode_bit, encode_bit, signal_amplitude_for
+from qcsim.codec import decide_bits, decode_bit, encode_bit, signal_amplitude_for
 from qcsim.detection import DetectorConfig, JointMeasurement, bell_measure
 from qcsim.errors import DomainError, HidingWindowError, SignalBudgetError
 from qcsim.quadrature import RngStream, hiding_window, sample_slots
@@ -158,6 +158,18 @@ def test_decode_tie_breaks_to_zero():
     out = decode_bit(joint, noise_var=0.27)
     assert out.bit == [0]
     assert out.confidence == [0.0]
+
+
+def test_decide_bits_is_the_decision_of_decode_bit():
+    d_plus, d_minus = RngStream(61).standard_normal((2, 40, 3))
+    d_minus[:5] = -d_plus[:5]  # exact ties decode as 0
+    joint = JointMeasurement(d_plus, d_minus)
+    assert decide_bits(joint) == decode_bit(joint, noise_var=0.27).bit
+    assert decide_bits(joint)[:5] == [0] * 5
+    with pytest.raises(ValueError):
+        decide_bits(JointMeasurement(np.ones(2), np.ones(2)))
+    with pytest.raises(ValueError):
+        decide_bits(JointMeasurement(np.empty((1, 0)), np.empty((1, 0))))
 
 
 def test_decode_accepts_measurement_sequence():

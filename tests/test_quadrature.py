@@ -1,10 +1,18 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcsim import quadrature
 from qcsim.errors import DomainError
 from qcsim.quadrature import (
     HIDING_THRESHOLD_R,
@@ -201,6 +209,11 @@ def test_beam_splitter_ports_share_one_vacuum_draw():
     assert out_y is None
     assert np.array_equal(out_x, t * x + r * vx)
     assert np.array_equal(reflected, r * x - t * vx)
+    # Without the reflected port the same beam is transmitted.
+    (out_x, out_y), reflected = beam_splitter(x, y, t, r, RngStream(13), reflect=False)
+    assert reflected is None
+    assert np.array_equal(out_x, t * x + r * vx)
+    assert np.array_equal(out_y, t * y + r * vy)
 
 
 @pytest.mark.parametrize("eta", [-0.1, 1.1, float("nan")])
@@ -380,3 +393,142 @@ def test_amplitude_only_loss_gives_the_full_loss_amplitude(seed, eta, frames, sl
     lossy_x, lossy_y = apply_loss(x, None, eta, rng)
     assert np.array_equal(lossy_x, full_x)
     assert lossy_y is None
+
+
+_GATE = quadrature._THREAD_ROW_NORMALS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    first=st.integers(min_value=0, max_value=2**32 - 8),
+    n_frames=st.sampled_from([1, 2, 3, 5]),
+    k=st.sampled_from([1, 2, 4]),
+    step=st.sampled_from([-1, 0, 1]),
+)
+@example(seed=0, first=0, n_frames=2, k=4, step=0)
+@example(seed=0, first=0, n_frames=3, k=1, step=-1)
+def test_threaded_fill_draws_what_each_substream_and_the_serial_fill_draw(
+    seed, first, n_frames, k, step
+):
+    # Rows of k * slots normals just below, at and just above the gate.
+    slots = _GATE // k + step
+    rows = RngStream(seed).rows(range(first, first + n_frames), 2)
+    fill, fills = quadrature._fill_rows, []
+
+    def recorded(*args):
+        fills.append((threading.get_ident(), len(args[1])))
+        fill(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_fill_rows", recorded)
+        drawn = rows.standard_normal((k, n_frames, slots))
+        mp.setattr(quadrature, "_row_helper", lambda: None)
+        serial = rows.standard_normal((k, n_frames, slots))
+    assert drawn.tobytes() == serial.tobytes()
+    for i, substream_id in enumerate(rows.ids.tolist()):
+        expected = RngStream(seed, substream_id).generator().standard_normal((k, slots))
+        assert np.array_equal(drawn[:, i], expected)
+    # A threaded draw fills its first half of rows on this thread and the
+    # rest on the helper; every other draw is one fill on this thread.
+    main = threading.get_ident()
+    assert fills.pop() == (main, n_frames)
+    if n_frames > 1 and k * slots >= _GATE and quadrature._row_helper():
+        half = (n_frames + 1) // 2
+        rows_by_thread = dict(fills)
+        assert len(fills) == len(rows_by_thread) == 2
+        assert rows_by_thread.pop(main) == half
+        assert list(rows_by_thread.values()) == [n_frames - half]
+    else:
+        assert fills == [(main, n_frames)]
+
+
+def test_concurrent_draws_each_fill_their_own_rows():
+    # More drawing threads than CPUs, switching often, share one helper:
+    # no draw returns before its rows are filled or takes another's rows.
+    ids = [0, 1, 2]
+    expected = {
+        seed: np.stack(
+            [RngStream(seed, i).generator().standard_normal((2, _GATE)) for i in ids],
+            axis=1,
+        ).tobytes()
+        for seed in range(6)
+    }
+    wrong = []
+
+    def draw(seed):
+        for _ in range(5):
+            drawn = RngStream(seed).rows(ids).standard_normal((2, 3, _GATE))
+            if drawn.tobytes() != expected[seed]:
+                wrong.append(seed)
+
+    threads = [threading.Thread(target=draw, args=(seed,)) for seed in expected]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(quadrature, "_helper", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    threads = threading.active_count()
+    rows = RngStream(3).rows([0, 1, 2], 2)
+    drawn = rows.standard_normal((4, 3, _GATE))
+    assert threading.active_count() == threads
+    assert quadrature._helper == (os.getpid(), None)
+    for i in range(3):
+        expected = RngStream(3).substream(i, 2).generator().standard_normal((4, _GATE))
+        assert np.array_equal(drawn[:, i], expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_draws_long_rows_on_its_own_helper(monkeypatch):
+    monkeypatch.setattr(quadrature, "_helper", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rows = RngStream(4).rows([5, 6, 7, 8], 2)
+    parent = rows.standard_normal((2, 4, _GATE))
+    assert quadrature._helper[1] is not None
+    pid = os.fork()
+    if pid == 0:
+        try:
+            child = rows.standard_normal((2, 4, _GATE))
+            os._exit(0 if child.tobytes() == parent.tobytes() else 1)
+        finally:
+            os._exit(2)
+    for _ in range(300):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung on its threaded draw")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_interpreter_exits_after_a_threaded_draw():
+    code = (
+        "import os, threading\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from qcsim.quadrature import RngStream\n"
+        "RngStream(1).rows([0, 1], 2).standard_normal((4, 2, 10000))\n"
+        "assert threading.active_count() == 2\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=20,
+        capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr.decode()

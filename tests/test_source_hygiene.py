@@ -1,5 +1,6 @@
 """Source checks that need no linter: every name a qcsim module imports is
-used in that module, and only the optical elements draw normals.
+used in that module, only the optical elements draw normals, and only the
+normal draw starts threads.
 
 `__init__.py` is left out, because its imports are the package's public
 names and are re-exported rather than used.
@@ -95,3 +96,55 @@ def test_check_names_each_function_that_draws_normals():
         "x = RNG.standard_normal(3)\n"
     )
     assert _normal_draws(tree) == ["A.f", "g", "<module>"]
+
+
+#: Modules that start or manage threads.  Only `quadrature.py`, whose frame
+#: rows fill on a helper thread, may import them, so that every thread of
+#: qcsim is in one place.
+THREAD_MODULES = ("threading", "concurrent.futures")
+
+
+def _thread_imports(tree: ast.Module) -> list[str]:
+    """Each import of a thread module or of a name inside one."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [
+            f"{name} (line {node.lineno})"
+            for name in names
+            if any(name == m or name.startswith(m + ".") for m in THREAD_MODULES)
+        ]
+    return found
+
+
+def test_only_the_normal_draw_imports_threads():
+    importing = {
+        path.name
+        for path in SRC.glob("*.py")
+        if _thread_imports(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert importing == {"quadrature.py"}
+
+
+def test_check_flags_each_thread_import():
+    tree = ast.parse(
+        "import threading\nfrom concurrent import futures\nimport queue\n"
+        "from concurrent.futures import ThreadPoolExecutor as Pool\n"
+        "import concurrent.futures.thread\nfrom threading import Lock\n"
+        "from . import threading_notes\nimport threadingx\n"
+    )
+    assert _thread_imports(tree) == [
+        "threading (line 1)",
+        "concurrent.futures (line 2)",
+        "concurrent.futures (line 4)",
+        "concurrent.futures.ThreadPoolExecutor (line 4)",
+        "concurrent.futures.thread (line 5)",
+        "threading (line 6)",
+        "threading.Lock (line 6)",
+    ]
