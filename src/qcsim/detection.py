@@ -71,9 +71,11 @@ def bell_measure(
 
 @dataclass(frozen=True)
 class CorrelationDegree:
-    """dB below the two-beam SNL; > 0 indicates quantum correlation."""
+    """dB below the two-beam SNL; > 0 indicates quantum correlation.  Also
+    the sum of squared residuals about the mean it was computed from."""
 
     cd_db: float | list[float]
+    residual_ss: float | list[float]
 
 
 def correlation_degree(
@@ -82,12 +84,16 @@ def correlation_degree(
     """-10*log10(Var(d)/2) of the chosen joint output (X -> d_plus, Y -> d_minus).
 
     The variance runs along the last axis: a (frames, slots) block gives a
-    list with one value per frame.
+    list with one value per frame.  It is the sum of squared residuals over
+    n - 1, the same operations as ``np.var(d, axis=-1, ddof=1)``.
     """
     d = np.asarray(samples.d_plus if channel is Quadrature.X else samples.d_minus)
     if d.ndim == 0 or d.shape[-1] < 2:
         raise ValueError("correlation degree needs at least two samples")
-    return CorrelationDegree(cd_db=db_below_snl(np.var(d, axis=-1, ddof=1)))
+    ss = np.sum((d - d.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+    return CorrelationDegree(
+        cd_db=db_below_snl(ss / (d.shape[-1] - 1)), residual_ss=ss.tolist()
+    )
 
 
 def db_below_snl(var):

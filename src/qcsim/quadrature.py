@@ -41,6 +41,10 @@ _THREAD_ROW_NORMALS = 8192
 _helper = None
 _helper_lock = threading.Lock()
 
+# Result queues of the draws handed ahead to the helper and not yet taken;
+# the helper is busy while one of them is empty.
+_ahead_queues = []
+
 # A float for the correlation parameter r; kept as an alias for readability.
 SqueezeParam = float
 
@@ -111,42 +115,88 @@ class FrameRows:
     skips the entropy pull of building a fresh generator.  With two or
     more usable CPUs, a helper thread fills the second half of a draw of
     two or more rows of at least `_THREAD_ROW_NORMALS` normals each; NumPy
-    releases the GIL while it fills.
+    releases the GIL while it fills.  `prefetch` hands a whole draw to the
+    helper ahead of time, and the draw that follows waits for it.
     """
 
     def __init__(self, seed: int, ids: np.ndarray):
         self.seed = seed
         self.ids = ids
+        self._ahead = None
 
-    def standard_normal(self, shape) -> np.ndarray:
+    def _empty(self, shape) -> np.ndarray:
         k, n_frames, *rest = shape
         if n_frames != self.ids.size:
             raise ValueError(
                 f"draw of {n_frames} frame rows from {self.ids.size} substreams"
             )
         # Frame-major, so that each frame's block is one contiguous fill.
-        out = np.empty((n_frames, k, *rest))
-        ids = self.ids.tolist()
-        if n_frames > 1 and out[0].size >= _THREAD_ROW_NORMALS:
-            _fill_on_two_threads(self.seed, ids, out)
+        return np.empty((n_frames, k, *rest))
+
+    def prefetch(self, shape) -> None:
+        """Start the draw of `shape` on the helper thread, if there is one;
+        the next `standard_normal` must draw that shape and returns it."""
+        jobs = _row_helper()
+        if jobs is not None:
+            self._ahead = (tuple(shape), self._empty(shape), queue.SimpleQueue())
+            _ahead_queues.append(self._ahead[2])
+            jobs.put((self.seed, self.ids.tolist(), *self._ahead[1:]))
+
+    def wait(self):
+        """Wait for the draw started by `prefetch` and take it; returns its
+        shape, its frame-major array and the helper's error, or None if no
+        draw is open."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None:
+            try:
+                return *ahead[:2], ahead[2].get()
+            finally:
+                _ahead_queues.remove(ahead[2])
+
+    def standard_normal(self, shape) -> np.ndarray:
+        ahead = self.wait()
+        if ahead is None:
+            out = self._empty(shape)
+            ids = self.ids.tolist()
+            if len(ids) > 1 and out[0].size >= _THREAD_ROW_NORMALS:
+                _fill_on_two_threads(self.seed, ids, out)
+            else:
+                _fill_rows(self.seed, ids, out)
         else:
-            _fill_rows(self.seed, ids, out)
+            ahead_shape, out, error = ahead
+            if error is not None:
+                raise error
+            if tuple(shape) != ahead_shape:
+                raise ValueError(f"draw of {shape} from rows drawn as {ahead_shape}")
         return out.swapaxes(0, 1)
+
+
+class _ThreadPhilox(threading.local):
+    """Each thread's Philox, its normal draw and the state dict that resets
+    it to a fresh key: counter 0, an empty buffer and no spare uint32."""
+
+    def __init__(self):
+        key = [0, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        bit_generator = np.random.Philox(key=0)
+        draw = np.random.Generator(bit_generator).standard_normal
+        self.parts = key, state, bit_generator, draw
+
+
+_philox = _ThreadPhilox()
 
 
 def _fill_rows(seed: int, ids: list[int], rows: np.ndarray) -> None:
     """Fill rows[i] with the first draw of substream (seed, ids[i])."""
-    key = [seed, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bit_generator = np.random.Philox(key=0)
-    draw = np.random.Generator(bit_generator).standard_normal
+    key, state, bit_generator, draw = _philox.parts
+    key[0] = seed
     for row, substream_id in zip(rows, ids):
         key[1] = substream_id
         bit_generator.state = state
@@ -155,9 +205,9 @@ def _fill_rows(seed: int, ids: list[int], rows: np.ndarray) -> None:
 
 def _fill_on_two_threads(seed: int, ids: list[int], rows: np.ndarray) -> None:
     """`_fill_rows`, with the second half of the rows on the helper thread
-    if there is one."""
+    if there is one and it has no draw ahead to fill."""
     jobs = _row_helper()
-    if jobs is None:
+    if jobs is None or any(done.empty() for done in _ahead_queues):
         return _fill_rows(seed, ids, rows)
     half = (len(ids) + 1) // 2
     # A queue of its own per job, so that neither a draw on another thread

@@ -25,6 +25,7 @@ from .codec import decode_bit, encode_bit, signal_amplitude_for
 from .detection import DetectorConfig, bell_measure, correlation_degree, db_below_snl
 from .errors import ConfigError, DomainError
 from .quadrature import (
+    _THREAD_ROW_NORMALS,
     Quadrature,
     RngStream,
     _check_r,
@@ -164,11 +165,6 @@ def _pooled_residual_cd(residual_ss: list[float], slots_per_frame: int) -> float
     return db_below_snl(sum(residual_ss) / (n - k))
 
 
-def _residual_ss(d: np.ndarray) -> list[float]:
-    """Per row of `d`, the sum of squared residuals about the row mean."""
-    return np.sum((d - d.mean(axis=-1, keepdims=True)) ** 2, axis=-1).tolist()
-
-
 def compare_keys(sent: str, decoded: str) -> KeyComparison:
     """Bit error rate and mismatch positions of two equal-length bit strings;
     the rate is None for empty strings."""
@@ -214,19 +210,16 @@ class _Tally:
 
 
 def _outbound(
-    cfg: SessionConfig,
-    frames: np.ndarray,
-    root: RngStream,
-    eve: Eavesdropper | None,
-    phases: bool,
+    cfg: SessionConfig, frames: np.ndarray, rows, eve: Eavesdropper | None, phases: bool
 ):
     """Sample the slots of `frames` and carry their signal beams to the
-    sender; returns the slots and the signal beam's (x, y) as it arrives."""
+    sender; returns the slots and the signal beam's (x, y) as it arrives.
+    `rows(frames, phase)` gives the frame rows of each substream phase."""
     shape = (frames.size, cfg.slots_per_frame)
-    slots = sample_slots(cfg.r, root.rows(frames, _PHASE_EPR), shape, phases=phases)
+    slots = sample_slots(cfg.r, rows(frames, _PHASE_EPR), shape, phases=phases)
     # Outbound leg: channel loss, then interception right before the sender.
     sig_x, sig_y = apply_loss(
-        slots.x1, slots.y1, cfg.eta_out, root.rows(frames, _PHASE_LOSS_OUT)
+        slots.x1, slots.y1, cfg.eta_out, rows(frames, _PHASE_LOSS_OUT)
     )
     if eve is not None:
         sig_x, sig_y = eve.substitute(frames, sig_x, sig_y)
@@ -245,16 +238,16 @@ def _simulate_blocked(
     cfg: SessionConfig,
     frames: np.ndarray,
     blocked: np.ndarray,
-    root: RngStream,
+    rows,
     eve: Eavesdropper | None,
     tally: _Tally,
 ) -> None:
     """Record the traces of a chunk of blocked frames and append them and
     their statistics to `tally`.  The traces read only amplitude
     quadratures, so no phase quadrature is drawn."""
-    slots, sig_x, _ = _outbound(cfg, frames, root, eve, phases=False)
+    slots, sig_x, _ = _outbound(cfg, frames, rows, eve, phases=False)
     alice, bob = record_block_traces(
-        blocked, frames, sig_x, slots.x2, cfg.detector, root.rows(frames, _PHASE_SCOPES)
+        blocked, frames, sig_x, slots.x2, cfg.detector, rows(frames, _PHASE_SCOPES)
     )
     tally.traces.extend(map(BlockTraces, frames.tolist(), alice, bob))
     tally.trace_stats.extend(trace_stats(alice, bob))
@@ -268,7 +261,7 @@ def simulate_frame(
     bits: np.ndarray,
     amplitude: float,
     noise_var: float,
-    root: RngStream,
+    rows,
     eve: Eavesdropper | None,
     tally: _Tally,
 ) -> None:
@@ -280,35 +273,25 @@ def simulate_frame(
     draw comes from frame f's own substream, so the results equal those of
     simulating the frames one at a time.
     """
-    slots, sig_x, sig_y = _outbound(cfg, frames, root, eve, phases=True)
+    slots, sig_x, sig_y = _outbound(cfg, frames, rows, eve, phases=True)
     sig_x, sig_y = encode_bit(bits[frames], amplitude, sig_x, sig_y, cfg.r)
 
     # Return leg: attacker hooks near the sender's output, then channel loss.
     if eve is not None:
-        sig_x, sig_y = eve.relay(frames, sig_x, sig_y, root.rows(frames, _PHASE_ATTACK))
-    sig_x, sig_y = apply_loss(
-        sig_x, sig_y, cfg.eta_back, root.rows(frames, _PHASE_LOSS_BACK)
-    )
+        sig_x, sig_y = eve.relay(frames, sig_x, sig_y, rows(frames, _PHASE_ATTACK))
+    sig_x, sig_y = apply_loss(sig_x, sig_y, cfg.eta_back, rows(frames, _PHASE_LOSS_BACK))
 
     measurement = bell_measure(
-        (sig_x, sig_y),
-        (slots.x2, slots.y2),
-        cfg.detector,
-        root.rows(frames, _PHASE_DETECTOR),
+        (sig_x, sig_y), (slots.x2, slots.y2), cfg.detector, rows(frames, _PHASE_DETECTOR)
     )
     decoded = decode_bit(measurement, noise_var)
     tally.decoded_bits.extend(decoded.bit)
     tally.confidences.extend(decoded.confidence)
-    tally.frame_cd.extend(
-        map(
-            FrameCd,
-            frames.tolist(),
-            correlation_degree(measurement, Quadrature.X).cd_db,
-            correlation_degree(measurement, Quadrature.Y).cd_db,
-        )
-    )
-    tally.residual_ss_plus.extend(_residual_ss(measurement.d_plus))
-    tally.residual_ss_minus.extend(_residual_ss(measurement.d_minus))
+    plus = correlation_degree(measurement, Quadrature.X)
+    minus = correlation_degree(measurement, Quadrature.Y)
+    tally.frame_cd.extend(map(FrameCd, frames.tolist(), plus.cd_db, minus.cd_db))
+    tally.residual_ss_plus.extend(plus.residual_ss)
+    tally.residual_ss_minus.extend(minus.residual_ss)
 
 
 def run_session(cfg: SessionConfig) -> SessionTranscript:
@@ -335,11 +318,38 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
     bits[sent] = key[np.arange(np.count_nonzero(sent)) % key.size]
 
     # All blocked frames first, then all sent ones, each kind in frame order.
+    chunks = [(f, False) for f in _chunks(np.flatnonzero(blocked), cfg.slots_per_frame)]
+    chunks += [(f, True) for f in _chunks(np.flatnonzero(sent), cfg.slots_per_frame)]
+    # When a sent chunk's EPR rows would fill on two threads, the helper
+    # thread draws the next chunk's EPR and detector-noise rows while this
+    # chunk computes.  Their shapes are those `_outbound` and `add_noise`
+    # draw; a draw of another shape raises.
+    ahead = {}
+
+    def rows(frames, phase):
+        return ahead.pop((phase, int(frames[0])), None) or root.rows(frames, phase)
+
+    def draw_ahead(frames, is_sent):
+        draws = {_PHASE_EPR: 4 if is_sent else 2}
+        if cfg.detector.electronic_noise_var != 0.0:
+            draws[_PHASE_DETECTOR if is_sent else _PHASE_SCOPES] = 2
+        for phase, k in draws.items():
+            ahead[phase, int(frames[0])] = drawn = root.rows(frames, phase)
+            drawn.prefetch((k, frames.size, cfg.slots_per_frame))
+
     tally = _Tally()
-    for frames in _chunks(np.flatnonzero(blocked), cfg.slots_per_frame):
-        _simulate_blocked(cfg, frames, blocked, root, eve, tally)
-    for frames in _chunks(np.flatnonzero(sent), cfg.slots_per_frame):
-        simulate_frame(cfg, frames, bits, amplitude, noise_var, root, eve, tally)
+    try:
+        for i, (frames, is_sent) in enumerate(chunks):
+            if 4 * cfg.slots_per_frame >= _THREAD_ROW_NORMALS and i + 1 < len(chunks):
+                draw_ahead(*chunks[i + 1])
+            if is_sent:
+                simulate_frame(cfg, frames, bits, amplitude, noise_var, rows, eve, tally)
+            else:
+                _simulate_blocked(cfg, frames, blocked, rows, eve, tally)
+    finally:
+        # No draw ahead outlives the session, also when a stage raised.
+        for left in ahead.values():
+            left.wait()
 
     cd_summary = None
     if tally.residual_ss_plus:

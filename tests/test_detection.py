@@ -155,6 +155,32 @@ def test_correlation_degree_needs_two_samples():
         correlation_degree(JointMeasurement(np.array([1.0]), np.array([0.5])))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    frames=st.integers(2, 6),
+    slots=st.integers(2, 3000),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_correlation_degree_is_that_of_np_var_bit_for_bit(seed, frames, slots, scale):
+    # The per-frame level comes from the residual sums of squares that the
+    # pooled level sums; both must be those of np.var, also on strided rows.
+    block = scale * np.random.default_rng(seed).standard_normal((2, frames, slots))
+    d = block[0]
+    expected = [-10.0 * math.log10(v / 2.0) for v in np.var(d, axis=-1, ddof=1)]
+    residual_ss = np.sum((d - d.mean(axis=-1, keepdims=True)) ** 2, axis=-1).tolist()
+    # Row i of `strided` is row i of `d`, one row of the other block apart.
+    strided = np.ascontiguousarray(block.swapaxes(0, 1)).swapaxes(0, 1)[0]
+    assert not strided.flags.c_contiguous
+    for rows in (d, strided):
+        cd = correlation_degree(JointMeasurement(rows, rows))
+        assert cd.cd_db == expected
+        assert cd.residual_ss == residual_ss
+    one = correlation_degree(JointMeasurement(block[0, 0], block[0, 0]))
+    assert one.cd_db == -10.0 * math.log10(np.var(block[0, 0], ddof=1) / 2.0)
+    assert isinstance(one.residual_ss, float)
+
+
 SETTINGS = SpectrumSettings()
 
 

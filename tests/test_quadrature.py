@@ -532,3 +532,119 @@ def test_interpreter_exits_after_a_threaded_draw():
         capture_output=True,
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_each_thread_keeps_one_philox_that_every_row_resets():
+    # Two threads fill rows of several seeds in turn, switching often; each
+    # keeps its own Philox and every row restarts it at its substream's key.
+    lengths = [1, 3, 7, 64]
+    expected = {
+        seed: [RngStream(seed, i).generator().standard_normal(n) for i, n in
+               enumerate(lengths)]
+        for seed in range(4)
+    }
+    wrong, generators = [], {}
+
+    def fill(seeds):
+        for _ in range(50):
+            for seed in seeds:
+                for i, n in enumerate(lengths):
+                    row = np.empty((1, n))
+                    quadrature._fill_rows(seed, [i], row)
+                    if not np.array_equal(row[0], expected[seed][i]):
+                        wrong.append((seed, i))
+        generators[threading.get_ident()] = quadrature._philox.parts[2]
+
+    threads = [threading.Thread(target=fill, args=(s,)) for s in ([0, 1], [2, 3])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(set(map(id, generators.values()))) == 2
+    fill([])
+    assert generators[threading.get_ident()] is quadrature._philox.parts[2]
+
+
+@pytest.fixture
+def two_cpu_helper(monkeypatch):
+    """A fresh helper thread, as with two usable CPUs, whatever the host has."""
+    monkeypatch.setattr(quadrature, "_helper", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert quadrature._row_helper() is not None
+
+
+def _blocked_helper(monkeypatch):
+    """Make every fill on a thread other than this one wait for the returned
+    event, recording (thread, rows) of each fill in the returned list."""
+    main, release, fills = threading.get_ident(), threading.Event(), []
+    fill = quadrature._fill_rows
+
+    def gated(seed, ids, rows):
+        fills.append((threading.get_ident(), len(ids)))
+        if threading.get_ident() != main:
+            assert release.wait(timeout=60)
+        fill(seed, ids, rows)
+
+    monkeypatch.setattr(quadrature, "_fill_rows", gated)
+    return release, fills
+
+
+def test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile(
+    two_cpu_helper, monkeypatch
+):
+    release, fills = _blocked_helper(monkeypatch)
+    ahead = RngStream(8).rows([0, 1, 2], 2)
+    ahead.prefetch((4, 3, _GATE))
+    # The helper is busy with the draw ahead: a long draw of several rows
+    # fills all of them on this thread instead of queueing half behind it.
+    other = RngStream(8).rows([3, 4], 2).standard_normal((2, 2, _GATE))
+    main = threading.get_ident()
+    assert [n for thread, n in fills if thread == main] == [2]
+    release.set()
+    drawn = ahead.standard_normal((4, 3, _GATE))
+    assert quadrature._ahead_queues == []
+    assert [n for thread, n in fills if thread != main] == [3]
+    for i in range(3):
+        assert np.array_equal(drawn[:, i], RngStream(8).substream(i, 2).generator()
+                              .standard_normal((4, _GATE)))
+    for i in range(2):
+        assert np.array_equal(other[:, i], RngStream(8).substream(3 + i, 2)
+                              .generator().standard_normal((2, _GATE)))
+    # Taken once: the next draw of these rows fills them afresh.
+    assert ahead.wait() is None
+    assert ahead.standard_normal((4, 3, _GATE)).tobytes() == drawn.tobytes()
+
+
+def test_a_draw_ahead_of_another_shape_raises(two_cpu_helper):
+    rows = RngStream(8).rows([0, 1], 5)
+    rows.prefetch((4, 2, 10))
+    with pytest.raises(ValueError, match=r"drawn as \(4, 2, 10\)"):
+        rows.standard_normal((2, 2, 10))
+    assert quadrature._ahead_queues == []
+
+
+def test_the_draw_that_takes_a_failed_draw_ahead_raises_its_error(
+    two_cpu_helper, monkeypatch
+):
+    main = threading.get_ident()
+    fill = quadrature._fill_rows
+
+    def failing(seed, ids, rows):
+        if threading.get_ident() != main:
+            raise RuntimeError("helper fill failed")
+        fill(seed, ids, rows)
+
+    monkeypatch.setattr(quadrature, "_fill_rows", failing)
+    rows = RngStream(8).rows([0, 1], 5)
+    rows.prefetch((2, 2, 10))
+    with pytest.raises(RuntimeError, match="helper fill failed"):
+        rows.standard_normal((2, 2, 10))
+    assert quadrature._ahead_queues == []
+

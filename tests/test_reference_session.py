@@ -55,7 +55,9 @@ ORACLE = settings(
 )
 
 # Shapes that cross the chunk size: 1030 x 64 slots spans two chunks, and
-# each 70 000-slot frame is a chunk of its own.
+# each 70 000-slot frame is a chunk of its own.  Frames of 10 000 slots
+# make chunks of six frames whose rows fill on two threads, with the next
+# chunk drawn ahead.
 LONG = dict(key_bits="100110", seed=2028, block_prob=0.35)
 
 
@@ -83,6 +85,15 @@ LONG = dict(key_bits="100110", seed=2028, block_prob=0.35)
     )
 )
 @example(SessionConfig(frames=3, slots_per_frame=70000, **LONG))
+@example(
+    SessionConfig(
+        frames=26,
+        slots_per_frame=10000,
+        eta_back=0.7,
+        attack=InterceptResend(1.0),
+        **LONG,
+    )
+)
 def test_session_matches_frame_at_a_time_reference(cfg):
     session = transcript_to_json(run_session(cfg)).splitlines()
     reference = transcript_to_json(reference_session(cfg)).splitlines()

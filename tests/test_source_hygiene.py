@@ -1,6 +1,6 @@
 """Source checks that need no linter: every name a qcsim module imports is
-used in that module, only the optical elements draw normals, and only the
-normal draw starts threads.
+used in that module, only the optical elements draw normals, only the
+normal draw starts threads, and its helper thread runs no stage.
 
 `__init__.py` is left out, because its imports are the package's public
 names and are re-exported rather than used.
@@ -147,4 +147,60 @@ def test_check_flags_each_thread_import():
         "concurrent.futures.thread (line 5)",
         "threading (line 6)",
         "threading.Lock (line 6)",
+    ]
+
+
+def _defined_names(trees) -> set[str]:
+    """Every function, method and class name that the modules define."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {n.name for tree in trees for n in ast.walk(tree) if isinstance(n, kinds)}
+
+
+def _thread_targets(tree: ast.Module) -> list[str]:
+    """The names passed as a `target=` keyword, in source order."""
+    calls = sorted(
+        (n for n in ast.walk(tree) if isinstance(n, ast.Call)),
+        key=lambda n: (n.lineno, n.col_offset),
+    )
+    return [
+        k.value.id
+        for n in calls
+        for k in n.keywords
+        if k.arg == "target" and isinstance(k.value, ast.Name)
+    ]
+
+
+def _calls_among(tree: ast.Module, function: str, names: set[str]) -> list[str]:
+    """The names in `names` that module-level `function` calls, by name or
+    as an attribute, in source order."""
+    body = next(n for n in tree.body if getattr(n, "name", None) == function)
+    calls = sorted(
+        (n for n in ast.walk(body) if isinstance(n, ast.Call)),
+        key=lambda n: (n.lineno, n.col_offset),
+    )
+    called = [getattr(n.func, "id", getattr(n.func, "attr", None)) for n in calls]
+    return [name for name in called if name in names]
+
+
+def test_the_helper_thread_calls_only_the_row_fill():
+    # `bench/tracing.py` keeps one span stack and plain counters: a traced
+    # stage run on the helper thread would interleave spans and race counts.
+    names = _defined_names(ast.parse(path.read_text()) for path in MODULES)
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    assert _thread_targets(tree) == ["_serve"]
+    assert _calls_among(tree, "_serve", names) == ["_fill_rows"]
+    assert _calls_among(tree, "_fill_rows", names) == []
+
+
+def test_check_names_each_thread_target_and_its_package_calls():
+    tree = ast.parse(
+        "def serve(jobs):\n    job = jobs.get()\n    fill(job)\n    stage.run(job)\n"
+        "    print(job)\n    fill(job)\n"
+        "Thread(target=serve, daemon=True)\nThread(target=idle)\nThread(run)\n"
+    )
+    assert _thread_targets(tree) == ["serve", "idle"]
+    assert _calls_among(tree, "serve", {"fill", "run", "serve"}) == [
+        "fill",
+        "run",
+        "fill",
     ]
