@@ -33,17 +33,13 @@ R_MAX = 100.0
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-#: Normals per frame row from which a draw of two or more rows fills half
-#: of them on a helper thread; a shorter row costs more to hand over.
+#: Normals per frame row from which a draw of two or more rows is shared
+#: with a helper thread; a shorter row costs more to hand over.
 _THREAD_ROW_NORMALS = 8192
 
 # (pid, job queue or None) of this process's row-filling helper thread.
 _helper = None
 _helper_lock = threading.Lock()
-
-# Result queues of the draws handed ahead to the helper and not yet taken;
-# the helper is busy while one of them is empty.
-_ahead_queues = []
 
 # A float for the correlation parameter r; kept as an alias for readability.
 SqueezeParam = float
@@ -113,10 +109,11 @@ class FrameRows:
     the state a fresh ``Philox(key=...)`` starts in.  Setting a state held
     in ints costs about half of setting one held in NumPy arrays, and
     skips the entropy pull of building a fresh generator.  With two or
-    more usable CPUs, a helper thread fills the second half of a draw of
-    two or more rows of at least `_THREAD_ROW_NORMALS` normals each; NumPy
-    releases the GIL while it fills.  `prefetch` hands a whole draw to the
-    helper ahead of time, and the draw that follows waits for it.
+    more usable CPUs, a draw of two or more rows of at least
+    `_THREAD_ROW_NORMALS` normals each is a `_Job` shared with a helper
+    thread: either thread fills the rows that neither has claimed yet, and
+    NumPy releases the GIL while it fills.  `prefetch` starts a draw's job
+    on the helper ahead of time; the draw that takes it fills what is left.
     """
 
     def __init__(self, seed: int, ids: np.ndarray):
@@ -133,42 +130,42 @@ class FrameRows:
         # Frame-major, so that each frame's block is one contiguous fill.
         return np.empty((n_frames, k, *rest))
 
+    def _share(self, jobs, shape, out) -> "_Job":
+        """Queue the draw of `shape` into `out` for the helper as a job."""
+        jobs.put(job := _Job(self.seed, self.ids.tolist(), out, tuple(shape)))
+        return job
+
     def prefetch(self, shape) -> None:
         """Start the draw of `shape` on the helper thread, if there is one;
         the next `standard_normal` must draw that shape and returns it."""
         jobs = _row_helper()
         if jobs is not None:
-            self._ahead = (tuple(shape), self._empty(shape), queue.SimpleQueue())
-            _ahead_queues.append(self._ahead[2])
-            jobs.put((self.seed, self.ids.tolist(), *self._ahead[1:]))
+            self._ahead = self._share(jobs, shape, self._empty(shape))
 
-    def wait(self):
-        """Wait for the draw started by `prefetch` and take it; returns its
-        shape, its frame-major array and the helper's error, or None if no
-        draw is open."""
-        ahead, self._ahead = self._ahead, None
-        if ahead is not None:
-            try:
-                return *ahead[:2], ahead[2].get()
-            finally:
-                _ahead_queues.remove(ahead[2])
+    def cancel(self) -> None:
+        """Drop the draw started by `prefetch`, if one is open: claim its
+        unclaimed rows without filling them and wait for any in flight."""
+        job, self._ahead = self._ahead, None
+        if job is not None:
+            job.finish(fill=False)
 
     def standard_normal(self, shape) -> np.ndarray:
-        ahead = self.wait()
-        if ahead is None:
+        job, self._ahead = self._ahead, None
+        if job is None:
             out = self._empty(shape)
-            ids = self.ids.tolist()
-            if len(ids) > 1 and out[0].size >= _THREAD_ROW_NORMALS:
-                _fill_on_two_threads(self.seed, ids, out)
-            else:
-                _fill_rows(self.seed, ids, out)
-        else:
-            ahead_shape, out, error = ahead
-            if error is not None:
-                raise error
-            if tuple(shape) != ahead_shape:
-                raise ValueError(f"draw of {shape} from rows drawn as {ahead_shape}")
-        return out.swapaxes(0, 1)
+            shared = self.ids.size > 1 and out[0].size >= _THREAD_ROW_NORMALS
+            jobs = _row_helper() if shared else None
+            if jobs is None:
+                _fill_rows(self.seed, self.ids.tolist(), out)
+                return out.swapaxes(0, 1)
+            job = self._share(jobs, shape, out)
+        elif tuple(shape) != job.shape:
+            job.finish(fill=False)
+            raise ValueError(f"draw of {shape} from rows drawn as {job.shape}")
+        job.finish()
+        if job.error is not None:
+            raise job.error
+        return job.out.swapaxes(0, 1)
 
 
 class _ThreadPhilox(threading.local):
@@ -203,35 +200,48 @@ def _fill_rows(seed: int, ids: list[int], rows: np.ndarray) -> None:
         draw(out=row)
 
 
-def _fill_on_two_threads(seed: int, ids: list[int], rows: np.ndarray) -> None:
-    """`_fill_rows`, with the second half of the rows on the helper thread
-    if there is one and it has no draw ahead to fill."""
-    jobs = _row_helper()
-    if jobs is None or any(done.empty() for done in _ahead_queues):
-        return _fill_rows(seed, ids, rows)
-    half = (len(ids) + 1) // 2
-    # A queue of its own per job, so that neither a draw on another thread
-    # nor one interrupted while it waits takes this draw's result.
-    done = queue.SimpleQueue()
-    jobs.put((seed, ids[half:], rows[half:], done))
-    try:
-        _fill_rows(seed, ids[:half], rows[:half])
-    finally:
-        error = done.get()
-    if error is not None:
-        raise error
+class _Job:
+    """One shared draw: rows of `out` that any thread claims one at a time
+    under the lock and fills from its own substream.  `done` is set once
+    every row is claimed and none is in flight; `error` is the first error
+    a fill raised, after which the rows left are claimed unfilled."""
+
+    def __init__(self, seed: int, ids: list[int], out: np.ndarray, shape: tuple):
+        self.seed, self.ids, self.out, self.shape = seed, ids, out, shape
+        self.done, self._lock = threading.Event(), threading.Lock()
+        self.error, self._next, self._left = None, 0, len(ids)
+
+    def work(self, fill: bool = True) -> None:
+        """Claim the unclaimed rows until none is left; fill each if `fill`."""
+        while True:
+            with self._lock:
+                i = self._next
+                if i == len(self.ids):
+                    return
+                self._next = i + 1
+            error = None
+            if fill and self.error is None:
+                try:
+                    _fill_rows(self.seed, self.ids[i : i + 1], self.out[i : i + 1])
+                except BaseException as exc:
+                    error = exc
+            with self._lock:
+                self.error = self.error or error
+                self._left -= 1
+                if not self._left:
+                    self.done.set()
+
+    def finish(self, fill: bool = True) -> None:
+        """Claim the unclaimed rows here, filling each if `fill`, and wait
+        for those in flight on the other thread."""
+        self.work(fill)
+        self.done.wait()
 
 
 def _serve(jobs) -> None:
-    """Fill the rows of each job from `jobs` and put None, or the error the
-    waiting draw re-raises, on the job's own queue."""
+    """Work on each job from `jobs` in turn; errors stay with their job."""
     while True:
-        seed, ids, rows, done = jobs.get()
-        try:
-            _fill_rows(seed, ids, rows)
-            done.put(None)
-        except BaseException as error:
-            done.put(error)
+        jobs.get().work()
 
 
 def _row_helper():

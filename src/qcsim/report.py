@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from .detection import NoiseSpectrum
 from .quadrature import Quadrature
 from .session import SessionTranscript, compare_keys
 from .verification import BlockTraces
+
+_encode_str = json.encoder.encode_basestring_ascii
 
 SCHEMA_VERSION = "1.0"
 PACKAGE_VERSION = "0.1.0"
@@ -75,7 +78,43 @@ def config_to_dict(config) -> dict:
 
 
 def dumps_deterministic(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` and a
+    newline, byte for byte, for dicts keyed by strings.  With `indent`,
+    `json.dumps` runs its pure-Python encoder; this joins each container's
+    items in one pass and encodes lists of strings in one `map`."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, newline: str) -> str:
+    """JSON text of `obj`, whose items start lines with `newline` + 2 spaces."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {obj!r}"
+            )
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{_encode_str(k)}: {_dumps(v, inner)}" for k, v in
+                 sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        try:
+            items = list(map(_encode_str, obj))
+        except TypeError:
+            items = [_dumps(v, inner) for v in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def transcript_to_dict(transcript: SessionTranscript) -> dict:

@@ -347,9 +347,10 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
             else:
                 _simulate_blocked(cfg, frames, blocked, rows, eve, tally)
     finally:
-        # No draw ahead outlives the session, also when a stage raised.
+        # No draw ahead outlives the session, also when a stage raised: an
+        # untaken one is cancelled, its unclaimed rows left unfilled.
         for left in ahead.values():
-            left.wait()
+            left.cancel()
 
     cd_summary = None
     if tally.residual_ss_plus:

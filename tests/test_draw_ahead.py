@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qcsim import quadrature, session
 from qcsim.adversary import InterceptResend, NoAttack, Qnd, Tap
 from qcsim.detection import DEFAULT_ELECTRONIC_NOISE_VAR, DetectorConfig
-from qcsim.quadrature import FrameRows, Quadrature
+from qcsim.quadrature import FrameRows, Quadrature, RngStream
 from qcsim.report import transcript_to_json
 from qcsim.session import _CHUNK_SLOTS, SessionConfig, run_session
 
@@ -27,13 +27,14 @@ ATTACKS = [NoAttack(), Tap(0.3), InterceptResend(1.0), Qnd(Quadrature.Y, 0.5)]
 
 
 @pytest.fixture(autouse=True)
-def two_cpu_helper(monkeypatch):
-    """A fresh helper thread, as with two usable CPUs, whatever the host has."""
+def two_cpu_helper(monkeypatch, open_jobs):
+    """A fresh helper thread, as with two usable CPUs, whatever the host has;
+    no shared draw may be left open."""
     monkeypatch.setattr(quadrature, "_helper", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert quadrature._row_helper() is not None
     yield
-    assert quadrature._ahead_queues == []
+    assert open_jobs == []
 
 
 def _serial(cfg) -> str:
@@ -121,7 +122,7 @@ def test_nothing_is_drawn_ahead_below_the_gate_or_with_one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     threads = threading.active_count()
     started, taken = _walk(_long())
-    assert taken == [] and all(rows.wait() is None for rows in started)
+    assert taken == [] and all(rows._ahead is None for rows in started)
     assert threading.active_count() == threads
 
 
@@ -138,27 +139,47 @@ def test_a_helper_error_reaches_the_session(monkeypatch):
         run_session(_long())
 
 
-def test_a_session_that_raises_mid_walk_leaves_the_helper_ready(monkeypatch):
+def test_a_session_that_raises_mid_walk_leaves_the_helper_ready(
+    monkeypatch, open_jobs
+):
     cfg = _long(block_prob=0.0)
     expected = _serial(cfg)
-    encoded = []
+    # Six frames a chunk: the third chunk's EPR rows are those of frames
+    # 12-17, and the helper holds on the first of them.
+    third = RngStream(cfg.seed).rows(range(12, 18), 2).ids.tolist()
+    main, fill = threading.get_ident(), quadrature._fill_rows
+    held, release, filled, encoded = threading.Event(), threading.Event(), [], []
+
+    def gated(seed, ids, rows):
+        if ids[0] == third[0] and threading.get_ident() != main:
+            held.set()
+            assert release.wait(timeout=60)
+        fill(seed, ids, rows)
+        filled.extend(ids)
 
     def failing(*args):
         encoded.append(args)
         if len(encoded) == 2:
+            # The third chunk was drawn ahead; release its held row only
+            # once the session has had time to cancel the rest.
+            assert held.wait(timeout=60)
+            threading.Timer(0.2, release.set).start()
             raise RuntimeError("stage failed")
         return encode_bit(*args)
 
     encode_bit = session.encode_bit
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_fill_rows", gated)
         mp.setattr(session, "encode_bit", failing)
         with pytest.raises(RuntimeError, match="stage failed"):
             run_session(cfg)
-    # The third chunk was drawn ahead when the second raised; the session
-    # waited for it, so the helper is idle and takes the next session's
-    # draws ahead.
-    assert quadrature._ahead_queues == []
-    main, fill, helper_rows = threading.get_ident(), quadrature._fill_rows, []
+    # The session cancelled the third chunk's draw ahead: it filled none of
+    # its unclaimed rows and waited for the one in flight, so the helper
+    # is idle and takes the next session's draws ahead.
+    assert release.is_set()
+    assert [i for i in filled if i in third] == third[:1]
+    assert open_jobs == []
+    helper_rows = []
 
     def recorded(seed, ids, rows):
         if threading.get_ident() != main:

@@ -417,7 +417,7 @@ def test_threaded_fill_draws_what_each_substream_and_the_serial_fill_draw(
     fill, fills = quadrature._fill_rows, []
 
     def recorded(*args):
-        fills.append((threading.get_ident(), len(args[1])))
+        fills.append((threading.get_ident(), list(args[1])))
         fill(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -429,18 +429,15 @@ def test_threaded_fill_draws_what_each_substream_and_the_serial_fill_draw(
     for i, substream_id in enumerate(rows.ids.tolist()):
         expected = RngStream(seed, substream_id).generator().standard_normal((k, slots))
         assert np.array_equal(drawn[:, i], expected)
-    # A threaded draw fills its first half of rows on this thread and the
-    # rest on the helper; every other draw is one fill on this thread.
-    main = threading.get_ident()
-    assert fills.pop() == (main, n_frames)
+    # A threaded draw fills every row exactly once, one row a fill, on
+    # either thread; every other draw is one fill on this thread.
+    main, ids = threading.get_ident(), rows.ids.tolist()
+    assert fills.pop() == (main, ids)
     if n_frames > 1 and k * slots >= _GATE and quadrature._row_helper():
-        half = (n_frames + 1) // 2
-        rows_by_thread = dict(fills)
-        assert len(fills) == len(rows_by_thread) == 2
-        assert rows_by_thread.pop(main) == half
-        assert list(rows_by_thread.values()) == [n_frames - half]
+        assert sorted(row for _, row in fills) == [[i] for i in sorted(ids)]
+        assert len({thread for thread, _ in fills}) <= 2
     else:
-        assert fills == [(main, n_frames)]
+        assert fills == [(main, ids)]
 
 
 def test_concurrent_draws_each_fill_their_own_rows():
@@ -580,37 +577,44 @@ def two_cpu_helper(monkeypatch):
     assert quadrature._row_helper() is not None
 
 
-def _blocked_helper(monkeypatch):
-    """Make every fill on a thread other than this one wait for the returned
-    event, recording (thread, rows) of each fill in the returned list."""
-    main, release, fills = threading.get_ident(), threading.Event(), []
-    fill = quadrature._fill_rows
+def _held_helper(monkeypatch):
+    """Make the helper thread's first fill wait for the returned `release`
+    event, and set `held` when it starts waiting; records (thread, ids) of
+    each fill in `fills` once the fill is done."""
+    main, fill = threading.get_ident(), quadrature._fill_rows
+    held, release, fills = threading.Event(), threading.Event(), []
 
     def gated(seed, ids, rows):
-        fills.append((threading.get_ident(), len(ids)))
-        if threading.get_ident() != main:
+        if threading.get_ident() != main and not held.is_set():
+            held.set()
             assert release.wait(timeout=60)
         fill(seed, ids, rows)
+        fills.append((threading.get_ident(), list(ids)))
 
     monkeypatch.setattr(quadrature, "_fill_rows", gated)
-    return release, fills
+    return held, release, fills
 
 
 def test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile(
-    two_cpu_helper, monkeypatch
+    two_cpu_helper, open_jobs, monkeypatch
 ):
-    release, fills = _blocked_helper(monkeypatch)
+    held, release, fills = _held_helper(monkeypatch)
     ahead = RngStream(8).rows([0, 1, 2], 2)
     ahead.prefetch((4, 3, _GATE))
-    # The helper is busy with the draw ahead: a long draw of several rows
-    # fills all of them on this thread instead of queueing half behind it.
-    other = RngStream(8).rows([3, 4], 2).standard_normal((2, 2, _GATE))
-    main = threading.get_ident()
-    assert [n for thread, n in fills if thread == main] == [2]
-    release.set()
+    assert held.wait(timeout=60)
+    # The helper holds row 0 of the draw ahead: a long draw of several rows
+    # fills all of them on this thread meanwhile.
+    others = RngStream(8).rows([3, 4], 2)
+    other = others.standard_normal((2, 2, _GATE))
+    main, ids = threading.get_ident(), ahead.ids.tolist()
+    assert fills == [(main, [i]) for i in others.ids.tolist()]
+    # The draw that takes it fills rows 1 and 2 here and then waits only for
+    # row 0, which the helper fills once released.
+    threading.Timer(0.2, release.set).start()
     drawn = ahead.standard_normal((4, 3, _GATE))
-    assert quadrature._ahead_queues == []
-    assert [n for thread, n in fills if thread != main] == [3]
+    assert open_jobs == []
+    assert fills[2:4] == [(main, [ids[1]]), (main, [ids[2]])]
+    assert [row for thread, row in fills if thread != main] == [[ids[0]]]
     for i in range(3):
         assert np.array_equal(drawn[:, i], RngStream(8).substream(i, 2).generator()
                               .standard_normal((4, _GATE)))
@@ -618,33 +622,83 @@ def test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile(
         assert np.array_equal(other[:, i], RngStream(8).substream(3 + i, 2)
                               .generator().standard_normal((2, _GATE)))
     # Taken once: the next draw of these rows fills them afresh.
-    assert ahead.wait() is None
+    assert ahead._ahead is None
     assert ahead.standard_normal((4, 3, _GATE)).tobytes() == drawn.tobytes()
 
 
-def test_a_draw_ahead_of_another_shape_raises(two_cpu_helper):
+def test_a_draw_ahead_of_another_shape_raises(two_cpu_helper, open_jobs):
     rows = RngStream(8).rows([0, 1], 5)
     rows.prefetch((4, 2, 10))
     with pytest.raises(ValueError, match=r"drawn as \(4, 2, 10\)"):
         rows.standard_normal((2, 2, 10))
-    assert quadrature._ahead_queues == []
+    assert open_jobs == []
 
 
 def test_the_draw_that_takes_a_failed_draw_ahead_raises_its_error(
-    two_cpu_helper, monkeypatch
+    two_cpu_helper, open_jobs, monkeypatch
 ):
-    main = threading.get_ident()
-    fill = quadrature._fill_rows
+    main, fill = threading.get_ident(), quadrature._fill_rows
+    held, release = threading.Event(), threading.Event()
 
     def failing(seed, ids, rows):
         if threading.get_ident() != main:
+            held.set()
+            assert release.wait(timeout=60)
             raise RuntimeError("helper fill failed")
         fill(seed, ids, rows)
 
     monkeypatch.setattr(quadrature, "_fill_rows", failing)
-    rows = RngStream(8).rows([0, 1], 5)
-    rows.prefetch((2, 2, 10))
+    rows = RngStream(8).rows([0, 1, 2], 5)
+    rows.prefetch((2, 3, 10))
+    # The helper has claimed row 0 and fails it while this thread waits.
+    assert held.wait(timeout=60)
+    threading.Timer(0.1, release.set).start()
     with pytest.raises(RuntimeError, match="helper fill failed"):
-        rows.standard_normal((2, 2, 10))
-    assert quadrature._ahead_queues == []
+        rows.standard_normal((2, 3, 10))
+    assert open_jobs == []
+    # The helper is ready for the next threaded draw.
+    monkeypatch.setattr(quadrature, "_fill_rows", fill)
+    drawn = rows.standard_normal((2, 3, _GATE))
+    assert open_jobs == []
+    for i in range(3):
+        assert np.array_equal(drawn[:, i], RngStream(8).substream(i, 5).generator()
+                              .standard_normal((2, _GATE)))
 
+
+class _SlowLen(list):
+    """Ids whose length takes a millisecond to read, in which time another
+    thread runs."""
+
+    def __len__(self):
+        time.sleep(1e-3)
+        return super().__len__()
+
+
+def test_two_threads_claiming_at_once_fill_each_row_once(monkeypatch):
+    # Both threads start claiming together and pause inside each claim:
+    # the lock still hands every row to one thread only.
+    fill, fills = quadrature._fill_rows, []
+
+    def recorded(seed, ids, rows):
+        fills.extend(ids)
+        fill(seed, ids, rows)
+
+    monkeypatch.setattr(quadrature, "_fill_rows", recorded)
+    ids = list(range(8))
+    job = quadrature._Job(5, _SlowLen(ids), np.empty((8, 2, 16)), (2, 8, 16))
+    start = threading.Barrier(2)
+
+    def work():
+        start.wait(timeout=60)
+        job.work()
+
+    helper = threading.Thread(target=work)
+    helper.start()
+    work()
+    helper.join(timeout=60)
+    assert not helper.is_alive()
+    assert job.done.is_set() and job.error is None
+    assert sorted(fills) == ids
+    for i in ids:
+        assert np.array_equal(job.out[i], RngStream(5, i).generator()
+                              .standard_normal((2, 16)))

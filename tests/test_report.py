@@ -1,5 +1,8 @@
 """The trace and spectrum writers render every float exactly as a row-by-row
-`format(float(x), ".10g")` does, whatever the value."""
+`format(float(x), ".10g")` does, whatever the value, and the deterministic
+JSON dump writes exactly what `json.dumps` writes."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qcsim.detection import NoiseSpectrum
-from qcsim.report import write_spectrum_csv, write_trace_csv
+from qcsim.report import dumps_deterministic, write_spectrum_csv, write_trace_csv
 from qcsim.verification import BlockTraces
 
 # Signed zeros, subnormals, the float extremes, non-finite values, and
@@ -92,3 +95,35 @@ def test_trace_csv_rejects_traces_of_unequal_length(tmp_path):
     with pytest.raises(ValueError, match="alice has 3 points, bob 4"):
         write_trace_csv(path, BlockTraces(7, np.zeros(3), np.zeros(4)))
     assert not path.exists()
+
+
+# Non-ASCII, escaped and control characters alongside plain text.
+TEXT = st.one_of(
+    st.text(), st.sampled_from(["", "a\"b\\c", "\n\t\x00\x1f", "é€😀", "\u2028"])
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), TEXT,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1.7976931348623157e308]),
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(TEXT, max_size=4),
+        st.dictionaries(TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=JSON)
+def test_deterministic_dump_writes_what_json_dumps_writes(obj):
+    expected = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert dumps_deterministic(obj) == expected
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_deterministic_dump_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps_deterministic({"a": [1, {"b": value}]})

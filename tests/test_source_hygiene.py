@@ -170,26 +170,47 @@ def _thread_targets(tree: ast.Module) -> list[str]:
     ]
 
 
+def _definitions(tree: ast.Module, name: str) -> list:
+    """Every function or method of `tree` named `name`."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return [n for n in ast.walk(tree) if isinstance(n, kinds) and n.name == name]
+
+
 def _calls_among(tree: ast.Module, function: str, names: set[str]) -> list[str]:
-    """The names in `names` that module-level `function` calls, by name or
-    as an attribute, in source order."""
-    body = next(n for n in tree.body if getattr(n, "name", None) == function)
+    """The names in `names` that the functions or methods named `function`
+    call, by name or as an attribute, in source order."""
     calls = sorted(
-        (n for n in ast.walk(body) if isinstance(n, ast.Call)),
+        (n for body in _definitions(tree, function) for n in ast.walk(body)
+         if isinstance(n, ast.Call)),
         key=lambda n: (n.lineno, n.col_offset),
     )
     called = [getattr(n.func, "id", getattr(n.func, "attr", None)) for n in calls]
     return [name for name in called if name in names]
 
 
+def _reached(tree: ast.Module, function: str, names: set[str]) -> list[str]:
+    """The names in `names` that `function` calls, and those that the ones
+    `tree` defines call in turn, each once, in the order found."""
+    reached, todo = [], [function]
+    while todo:
+        for name in _calls_among(tree, todo.pop(0), names):
+            if name not in reached:
+                reached.append(name)
+                todo.append(name)
+    return reached
+
+
+def _package_names() -> set[str]:
+    return _defined_names(ast.parse(path.read_text()) for path in MODULES)
+
+
 def test_the_helper_thread_calls_only_the_row_fill():
     # `bench/tracing.py` keeps one span stack and plain counters: a traced
     # stage run on the helper thread would interleave spans and race counts.
-    names = _defined_names(ast.parse(path.read_text()) for path in MODULES)
+    # The helper works on shared draws, whose claim loop fills rows.
     tree = ast.parse((SRC / "quadrature.py").read_text())
     assert _thread_targets(tree) == ["_serve"]
-    assert _calls_among(tree, "_serve", names) == ["_fill_rows"]
-    assert _calls_among(tree, "_fill_rows", names) == []
+    assert _reached(tree, "_serve", _package_names()) == ["work", "_fill_rows"]
 
 
 def test_check_names_each_thread_target_and_its_package_calls():
@@ -204,3 +225,22 @@ def test_check_names_each_thread_target_and_its_package_calls():
         "run",
         "fill",
     ]
+
+
+def test_check_follows_the_helper_into_the_methods_it_calls():
+    tree = ast.parse(
+        "def serve(jobs):\n    while True:\n        jobs.get().work()\n"
+        "class Job:\n    def work(self):\n        fill(self)\n        stage.run(self)\n"
+        "def fill(job):\n    draw(job)\n    fill(job)\n"
+    )
+    names = {"serve", "work", "fill", "run", "draw"}
+    assert _reached(tree, "serve", names) == ["work", "fill", "run", "draw"]
+
+
+def test_check_flags_a_package_call_planted_in_the_claim_loop():
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    (work,) = _definitions(tree, "work")
+    loop = next(n for n in ast.walk(work) if isinstance(n, ast.While))
+    loop.body.append(ast.parse("trace_stats(self.out)").body[0])
+    reached = _reached(tree, "_serve", _package_names())
+    assert sorted(reached) == ["_fill_rows", "trace_stats", "work"]
