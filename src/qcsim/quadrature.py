@@ -33,10 +33,6 @@ R_MAX = 100.0
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-#: Normals per frame row from which a draw of two or more rows is shared
-#: with a helper thread; a shorter row costs more to hand over.
-_THREAD_ROW_NORMALS = 8192
-
 # (pid, job queue or None) of this process's row-filling helper thread.
 _helper = None
 _helper_lock = threading.Lock()
@@ -108,12 +104,11 @@ class FrameRows:
     plain Python ints: key (seed, ids[i]), counter 0 and an empty buffer,
     the state a fresh ``Philox(key=...)`` starts in.  Setting a state held
     in ints costs about half of setting one held in NumPy arrays, and
-    skips the entropy pull of building a fresh generator.  With two or
-    more usable CPUs, a draw of two or more rows of at least
-    `_THREAD_ROW_NORMALS` normals each is a `_Job` shared with a helper
-    thread: either thread fills the rows that neither has claimed yet, and
-    NumPy releases the GIL while it fills.  `prefetch` starts a draw's job
-    on the helper ahead of time; the draw that takes it fills what is left.
+    skips the entropy pull of building a fresh generator.  A draw fills
+    serially on the calling thread, unless `prefetch` started it ahead:
+    with two or more usable CPUs that queues the draw as a `_Job` for a
+    helper thread, and the draw that takes it fills the rows the helper has
+    not claimed yet.  NumPy releases the GIL while it fills.
     """
 
     def __init__(self, seed: int, ids: np.ndarray):
@@ -130,17 +125,14 @@ class FrameRows:
         # Frame-major, so that each frame's block is one contiguous fill.
         return np.empty((n_frames, k, *rest))
 
-    def _share(self, jobs, shape, out) -> "_Job":
-        """Queue the draw of `shape` into `out` for the helper as a job."""
-        jobs.put(job := _Job(self.seed, self.ids.tolist(), out, tuple(shape)))
-        return job
-
     def prefetch(self, shape) -> None:
         """Start the draw of `shape` on the helper thread, if there is one;
         the next `standard_normal` must draw that shape and returns it."""
         jobs = _row_helper()
         if jobs is not None:
-            self._ahead = self._share(jobs, shape, self._empty(shape))
+            out = self._empty(shape)
+            self._ahead = _Job(self.seed, self.ids.tolist(), out, tuple(shape))
+            jobs.put(self._ahead)
 
     def cancel(self) -> None:
         """Drop the draw started by `prefetch`, if one is open: claim its
@@ -153,13 +145,9 @@ class FrameRows:
         job, self._ahead = self._ahead, None
         if job is None:
             out = self._empty(shape)
-            shared = self.ids.size > 1 and out[0].size >= _THREAD_ROW_NORMALS
-            jobs = _row_helper() if shared else None
-            if jobs is None:
-                _fill_rows(self.seed, self.ids.tolist(), out)
-                return out.swapaxes(0, 1)
-            job = self._share(jobs, shape, out)
-        elif tuple(shape) != job.shape:
+            _fill_rows(self.seed, self.ids.tolist(), out)
+            return out.swapaxes(0, 1)
+        if tuple(shape) != job.shape:
             job.finish(fill=False)
             raise ValueError(f"draw of {shape} from rows drawn as {job.shape}")
         job.finish()

@@ -16,6 +16,7 @@ the same as that of a frame-at-a-time run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,6 @@ from .codec import decode_bit, encode_bit, signal_amplitude_for
 from .detection import DetectorConfig, bell_measure, correlation_degree, db_below_snl
 from .errors import ConfigError, DomainError
 from .quadrature import (
-    _THREAD_ROW_NORMALS,
     Quadrature,
     RngStream,
     _check_r,
@@ -92,6 +92,11 @@ class SessionConfig:
             raise ConfigError("key_bits must contain at least one bit")
         if set(self.key_bits) - {"0", "1"}:
             raise ConfigError(f"key_bits must be a 0/1 string, got {self.key_bits!r}")
+        for name in ("seed", "frames", "slots_per_frame"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.frames < 1:
             raise ConfigError(f"frames must be >= 1, got {self.frames!r}")
         # Two slots per frame are the least that trace stats and the
@@ -109,8 +114,6 @@ class SessionConfig:
             raise ConfigError(
                 f"block_prob must lie in [0, 1], got {self.block_prob!r}"
             )
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < SEED_SPAN:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -193,6 +196,10 @@ def finalize(session_verdict: Verdict, decoded_bits: str) -> SessionOutcome:
 #: chunk of its own.  Keeps each chunk's arrays near cache size: one pass
 #: over all frames of a long session was slower than walking it in chunks.
 _CHUNK_SLOTS = 1 << 16
+
+#: Slots per frame from which each chunk's rows are drawn ahead on the
+#: helper thread; a shorter row costs more to hand over than it saves.
+_DRAW_AHEAD_SLOTS = 2048
 
 
 @dataclass
@@ -320,10 +327,10 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
     # All blocked frames first, then all sent ones, each kind in frame order.
     chunks = [(f, False) for f in _chunks(np.flatnonzero(blocked), cfg.slots_per_frame)]
     chunks += [(f, True) for f in _chunks(np.flatnonzero(sent), cfg.slots_per_frame)]
-    # When a sent chunk's EPR rows would fill on two threads, the helper
-    # thread draws the next chunk's EPR and detector-noise rows while this
-    # chunk computes.  Their shapes are those `_outbound` and `add_noise`
-    # draw; a draw of another shape raises.
+    # With frames of `_DRAW_AHEAD_SLOTS` or more, the helper thread draws
+    # each chunk's EPR and detector-noise rows ahead, the first chunk's at
+    # once; their shapes are those `_outbound` and `add_noise` draw, and a
+    # draw of another shape raises.
     ahead = {}
 
     def rows(frames, phase):
@@ -338,9 +345,12 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
             drawn.prefetch((k, frames.size, cfg.slots_per_frame))
 
     tally = _Tally()
+    threaded = cfg.slots_per_frame >= _DRAW_AHEAD_SLOTS
     try:
+        if threaded:
+            draw_ahead(*chunks[0])
         for i, (frames, is_sent) in enumerate(chunks):
-            if 4 * cfg.slots_per_frame >= _THREAD_ROW_NORMALS and i + 1 < len(chunks):
+            if threaded and i + 1 < len(chunks):
                 draw_ahead(*chunks[i + 1])
             if is_sent:
                 simulate_frame(cfg, frames, bits, amplitude, noise_var, rows, eve, tally)

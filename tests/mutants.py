@@ -1,0 +1,164 @@
+"""One-line mutants of qcsim that tier-1 must kill by behaviour.
+
+Each entry of `MUTANTS` patches `old` into `new` in one source file and
+names the test that is expected to kill it.  `tests/test_mutants.py` checks,
+without running anything, that every `old` occurs exactly once and every
+named test exists.  Running this file is opt-in, because each mutant costs a
+full tier-1 run:
+
+    python tests/mutants.py
+
+copies the tree to a temporary directory per mutant, applies the patch,
+runs tier-1 without the sha256 digest tests (`DIGEST_TESTS`), so that only a
+test that checks behaviour counts as a kill, and without the check of this
+list, and prints which tests failed and then the survivors.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The tests that compare whole outputs with a sha256 digest.  They kill
+#: almost any mutant that moves a byte and say nothing about which behaviour
+#: broke, so the runner leaves them out.
+DIGEST_TESTS = (
+    "tests/test_cli.py::test_golden_file_regression",
+    "tests/test_cli.py::test_sweep_golden_digest",
+    "tests/test_chunk_walk.py::test_chunk_walk_keeps_per_frame_bytes",
+    "tests/test_bench_contract.py::test_first_attack_cycle_matches_reference_digests",
+)
+
+#: The check of this list, which fails on every applied patch.
+SELF_TEST = "tests/test_mutants.py"
+
+#: Seconds one mutant's tier-1 run may take before it counts as hung.
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    killer: str  # the test id expected to fail, "file::function"
+
+
+_QUADRATURE = "src/qcsim/quadrature.py"
+_ROWS_TESTS = "tests/test_quadrature.py"
+
+MUTANTS = [
+    # The threaded draw: a row claimed without the lock.
+    Mutant(
+        _QUADRATURE,
+        "            with self._lock:\n                i = self._next\n",
+        "            if True:\n                i = self._next\n",
+        f"{_ROWS_TESTS}::test_two_threads_claiming_at_once_fill_each_row_once",
+    ),
+    # `finish` returns without waiting for the rows in flight.
+    Mutant(
+        _QUADRATURE,
+        "        self.work(fill)\n        self.done.wait()\n",
+        "        self.work(fill)\n",
+        f"{_ROWS_TESTS}::test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile",
+    ),
+    # A row's fill error is dropped, leaving the row unfilled.
+    Mutant(
+        _QUADRATURE,
+        "                self.error = self.error or error\n",
+        "                self.error = self.error\n",
+        f"{_ROWS_TESTS}::test_the_draw_that_takes_a_failed_draw_ahead_raises_its_error",
+    ),
+    # `cancel` fills the unclaimed rows of a draw nobody takes.
+    Mutant(
+        _QUADRATURE,
+        "        if job is not None:\n            job.finish(fill=False)\n",
+        "        if job is not None:\n            job.finish()\n",
+        "tests/test_draw_ahead.py::test_a_session_that_raises_mid_walk_leaves_the_helper_ready",
+    ),
+    # `done` is set while the last row is still in flight.
+    Mutant(
+        _QUADRATURE,
+        "                if not self._left:\n",
+        "                if self._left <= 1:\n",
+        f"{_ROWS_TESTS}::test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile",
+    ),
+    # The session draws only the chunks after the first ahead.
+    Mutant(
+        "src/qcsim/session.py",
+        "        if threaded:\n            draw_ahead(*chunks[0])\n",
+        "",
+        "tests/test_draw_ahead.py::test_every_draw_ahead_is_taken",
+    ),
+    # A draw ignores its draw ahead and fills serially, leaving the job open.
+    Mutant(
+        _QUADRATURE,
+        "        job, self._ahead = self._ahead, None\n        if job is None:\n",
+        "        job, self._ahead = None, None\n        if job is None:\n",
+        f"{_ROWS_TESTS}::test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile",
+    ),
+]
+
+
+def label(mutant: Mutant) -> str:
+    """The mutant's first changed line, old -> new."""
+    old, new = mutant.old.splitlines(), mutant.new.splitlines()
+    removed = next(line for line in old if line not in new)
+    added = next((line for line in new if line not in old), "")
+    return f"{mutant.file}: {removed.strip()!r} -> {added.strip()!r}"
+
+
+def _failures(mutant: Mutant) -> list[str] | None:
+    """The ids of the tests that fail on `mutant`, or None if tier-1 hung;
+    a run that fails without naming a test gives its exit status."""
+    with tempfile.TemporaryDirectory(prefix="qcsim-mutant-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(
+            ROOT, tree,
+            ignore=shutil.ignore_patterns(".git", ".hypothesis", "__pycache__"),
+        )
+        path = tree / mutant.file
+        path.write_text(path.read_text().replace(mutant.old, mutant.new, 1))
+        command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                   "--continue-on-collection-errors"]
+        command += [f"--deselect={test}" for test in (*DIGEST_TESTS, SELF_TEST)]
+        try:
+            done = subprocess.run(
+                command, cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return None
+    failed = list(dict.fromkeys(re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)))
+    return failed or ([f"pytest exit status {done.returncode}"] if done.returncode else [])
+
+
+def main() -> int:
+    survivors = []
+    for i, mutant in enumerate(MUTANTS, 1):
+        failed = _failures(mutant)
+        if failed is None:
+            verdict = f"killed: tier-1 ran over {TIMEOUT_S} s"
+        elif not failed:
+            verdict = "SURVIVED"
+            survivors.append(i)
+        else:
+            named = any(test.split("[")[0] == mutant.killer for test in failed)
+            among = "among" if named else "NOT among"
+            verdict = f"killed by {len(failed)} tests, the named one {among} them"
+        print(f"{i}. {label(mutant)}\n   {verdict}", flush=True)
+        for test in failed or ():
+            print(f"     {test}")
+    print(f"survivors: {survivors or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

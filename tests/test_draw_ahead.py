@@ -1,5 +1,6 @@
-"""The session's draws ahead: while `run_session` computes one chunk, the
-helper thread draws the next chunk's EPR and detector-noise rows.
+"""The session's draws ahead: `run_session` starts the first chunk's EPR and
+detector-noise rows on the helper thread at once, and while it computes one
+chunk, the helper draws the next chunk's.
 
 The transcript must not move by a byte, every draw ahead must be taken by
 the stage it was drawn for, and an error on either thread must reach the
@@ -20,8 +21,8 @@ from qcsim.quadrature import FrameRows, Quadrature, RngStream
 from qcsim.report import transcript_to_json
 from qcsim.session import _CHUNK_SLOTS, SessionConfig, run_session
 
-#: Slots per frame from which a sent chunk's EPR rows fill threaded.
-GATE_SLOTS = quadrature._THREAD_ROW_NORMALS // 4
+#: Slots per frame from which a session draws its chunks ahead.
+GATE_SLOTS = session._DRAW_AHEAD_SLOTS
 
 ATTACKS = [NoAttack(), Tap(0.3), InterceptResend(1.0), Qnd(Quadrature.Y, 0.5)]
 
@@ -106,18 +107,18 @@ def test_every_draw_ahead_is_taken(noise):
                 detector=DetectorConfig(electronic_noise_var=noise))
     assert len(run_session(cfg).blocked_frames) == 11
     started, taken = _walk(cfg)
-    # Every chunk but the first is drawn ahead: its EPR rows and, with
-    # electronic noise, its detector or oscilloscope noise rows.
-    assert len(started) == 4 * (2 if noise else 1)
+    # Every chunk is drawn ahead, the first included: its EPR rows and,
+    # with electronic noise, its detector or oscilloscope noise rows.
+    assert len(started) == 5 * (2 if noise else 1)
     assert taken == started
 
 
 def test_nothing_is_drawn_ahead_below_the_gate_or_with_one_cpu(monkeypatch):
     assert _walk(_long(slots_per_frame=GATE_SLOTS - 1)) == ([], [])
-    # At the gate one chunk of blocked and one of sent frames: the second
-    # is drawn ahead.
+    # At the gate one chunk of blocked and one of sent frames: both are
+    # drawn ahead, each its EPR and its noise rows.
     started, taken = _walk(_long(slots_per_frame=GATE_SLOTS))
-    assert len(started) == 2 and taken == started
+    assert len(started) == 4 and taken == started
     monkeypatch.setattr(quadrature, "_helper", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     threads = threading.active_count()

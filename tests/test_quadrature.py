@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcsim import quadrature
+from qcsim import quadrature, session
 from qcsim.errors import DomainError
 from qcsim.quadrature import (
     HIDING_THRESHOLD_R,
@@ -395,7 +395,9 @@ def test_amplitude_only_loss_gives_the_full_loss_amplitude(seed, eta, frames, sl
     assert lossy_y is None
 
 
-_GATE = quadrature._THREAD_ROW_NORMALS
+#: Normals in a sent frame's row at the slot count from which a session
+#: draws its chunks ahead (four normals a slot).
+_GATE = 4 * session._DRAW_AHEAD_SLOTS
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,6 +415,7 @@ def test_threaded_fill_draws_what_each_substream_and_the_serial_fill_draw(
 ):
     # Rows of k * slots normals just below, at and just above the gate.
     slots = _GATE // k + step
+    shape = (k, n_frames, slots)
     rows = RngStream(seed).rows(range(first, first + n_frames), 2)
     fill, fills = quadrature._fill_rows, []
 
@@ -422,18 +425,24 @@ def test_threaded_fill_draws_what_each_substream_and_the_serial_fill_draw(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_fill_rows", recorded)
-        drawn = rows.standard_normal((k, n_frames, slots))
+        rows.prefetch(shape)
+        drawn = rows.standard_normal(shape)
+        plain = rows.standard_normal(shape)
         mp.setattr(quadrature, "_row_helper", lambda: None)
-        serial = rows.standard_normal((k, n_frames, slots))
+        rows.prefetch(shape)
+        serial = rows.standard_normal(shape)
     assert drawn.tobytes() == serial.tobytes()
+    assert plain.tobytes() == serial.tobytes()
     for i, substream_id in enumerate(rows.ids.tolist()):
         expected = RngStream(seed, substream_id).generator().standard_normal((k, slots))
         assert np.array_equal(drawn[:, i], expected)
-    # A threaded draw fills every row exactly once, one row a fill, on
-    # either thread; every other draw is one fill on this thread.
+    # A draw ahead fills every row exactly once, one row a fill, on either
+    # thread; a draw with no draw ahead, or with no helper to draw it, is
+    # one fill on this thread at any row length.
     main, ids = threading.get_ident(), rows.ids.tolist()
     assert fills.pop() == (main, ids)
-    if n_frames > 1 and k * slots >= _GATE and quadrature._row_helper():
+    assert fills.pop() == (main, ids)
+    if quadrature._row_helper():
         assert sorted(row for _, row in fills) == [[i] for i in sorted(ids)]
         assert len({thread for thread, _ in fills}) <= 2
     else:
@@ -455,7 +464,9 @@ def test_concurrent_draws_each_fill_their_own_rows():
 
     def draw(seed):
         for _ in range(5):
-            drawn = RngStream(seed).rows(ids).standard_normal((2, 3, _GATE))
+            rows = RngStream(seed).rows(ids)
+            rows.prefetch((2, 3, _GATE))
+            drawn = rows.standard_normal((2, 3, _GATE))
             if drawn.tobytes() != expected[seed]:
                 wrong.append(seed)
 
@@ -478,6 +489,7 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     threads = threading.active_count()
     rows = RngStream(3).rows([0, 1, 2], 2)
+    rows.prefetch((4, 3, _GATE))
     drawn = rows.standard_normal((4, 3, _GATE))
     assert threading.active_count() == threads
     assert quadrature._helper == (os.getpid(), None)
@@ -491,11 +503,13 @@ def test_forked_child_draws_long_rows_on_its_own_helper(monkeypatch):
     monkeypatch.setattr(quadrature, "_helper", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     rows = RngStream(4).rows([5, 6, 7, 8], 2)
+    rows.prefetch((2, 4, _GATE))
     parent = rows.standard_normal((2, 4, _GATE))
     assert quadrature._helper[1] is not None
     pid = os.fork()
     if pid == 0:
         try:
+            rows.prefetch((2, 4, _GATE))
             child = rows.standard_normal((2, 4, _GATE))
             os._exit(0 if child.tobytes() == parent.tobytes() else 1)
         finally:
@@ -517,7 +531,9 @@ def test_interpreter_exits_after_a_threaded_draw():
         "import os, threading\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from qcsim.quadrature import RngStream\n"
-        "RngStream(1).rows([0, 1], 2).standard_normal((4, 2, 10000))\n"
+        "rows = RngStream(1).rows([0, 1], 2)\n"
+        "rows.prefetch((4, 2, 10000))\n"
+        "rows.standard_normal((4, 2, 10000))\n"
         "assert threading.active_count() == 2\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -603,17 +619,17 @@ def test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile(
     ahead.prefetch((4, 3, _GATE))
     assert held.wait(timeout=60)
     # The helper holds row 0 of the draw ahead: a long draw of several rows
-    # fills all of them on this thread meanwhile.
+    # is one serial fill on this thread meanwhile.
     others = RngStream(8).rows([3, 4], 2)
     other = others.standard_normal((2, 2, _GATE))
     main, ids = threading.get_ident(), ahead.ids.tolist()
-    assert fills == [(main, [i]) for i in others.ids.tolist()]
+    assert fills == [(main, others.ids.tolist())]
     # The draw that takes it fills rows 1 and 2 here and then waits only for
     # row 0, which the helper fills once released.
     threading.Timer(0.2, release.set).start()
     drawn = ahead.standard_normal((4, 3, _GATE))
     assert open_jobs == []
-    assert fills[2:4] == [(main, [ids[1]]), (main, [ids[2]])]
+    assert fills[1:3] == [(main, [ids[1]]), (main, [ids[2]])]
     assert [row for thread, row in fills if thread != main] == [[ids[0]]]
     for i in range(3):
         assert np.array_equal(drawn[:, i], RngStream(8).substream(i, 2).generator()
@@ -656,10 +672,21 @@ def test_the_draw_that_takes_a_failed_draw_ahead_raises_its_error(
     with pytest.raises(RuntimeError, match="helper fill failed"):
         rows.standard_normal((2, 3, 10))
     assert open_jobs == []
-    # The helper is ready for the next threaded draw.
-    monkeypatch.setattr(quadrature, "_fill_rows", fill)
+    # The helper is ready for the next draw ahead, and fills its rows.
+    helper_rows, started = [], threading.Event()
+
+    def recorded(seed, ids, rows):
+        if threading.get_ident() != main:
+            helper_rows.extend(ids)
+            started.set()
+        fill(seed, ids, rows)
+
+    monkeypatch.setattr(quadrature, "_fill_rows", recorded)
+    rows.prefetch((2, 3, _GATE))
+    assert started.wait(timeout=60)
     drawn = rows.standard_normal((2, 3, _GATE))
     assert open_jobs == []
+    assert helper_rows
     for i in range(3):
         assert np.array_equal(drawn[:, i], RngStream(8).substream(i, 5).generator()
                               .standard_normal((2, _GATE)))

@@ -249,6 +249,19 @@ def test_config_validation_messages_name_fields():
         run_session(_config(margin=1.0))
     with pytest.raises(ConfigError, match="frames"):
         run_session(_config(frames=0))
+    # A non-integer or a bool is refused up front, by the field's name.
+    for name, value in [("frames", 2.5), ("slots_per_frame", 64.5), ("frames", True),
+                        ("seed", True), ("seed", 7.0), ("seed", np.float64(7))]:
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            run_session(_config(**{name: value}))
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.uint64])
+def test_numpy_integer_fields_run_as_python_ints(np_int):
+    cfg = _config(seed=np_int(7), frames=np_int(6), slots_per_frame=np_int(64))
+    assert all(type(v) is int for v in (cfg.seed, cfg.frames, cfg.slots_per_frame))
+    expected = transcript_to_json(run_session(_config(frames=6, slots_per_frame=64)))
+    assert transcript_to_json(run_session(cfg)) == expected
 
 
 def test_finalize_rules():

@@ -1,6 +1,7 @@
 """Source checks that need no linter: every name a qcsim module imports is
 used in that module, only the optical elements draw normals, only the
-normal draw starts threads, and its helper thread runs no stage.
+normal draw starts threads, its helper thread runs no stage, and the
+session's draws ahead are its only way onto that thread.
 
 `__init__.py` is left out, because its imports are the package's public
 names and are re-exported rather than used.
@@ -57,9 +58,9 @@ DRAWS_NORMALS = {
 }
 
 
-def _normal_draws(tree: ast.Module) -> list[str]:
-    """Qualified names of the functions or classes that call
-    `.standard_normal(`, one entry per call, in source order."""
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """Qualified names of the functions or classes that call `name`, as
+    `name(` or `.name(`, one entry per call, in source order."""
     found = []
 
     def visit(node, scope):
@@ -67,10 +68,9 @@ def _normal_draws(tree: ast.Module) -> list[str]:
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = (*scope, child.name)
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "standard_normal"
+            elif isinstance(child, ast.Call) and name in (
+                getattr(child.func, "attr", None),
+                getattr(child.func, "id", None),
             ):
                 found.append(".".join(scope) or "<module>")
             visit(child, inner)
@@ -79,12 +79,12 @@ def _normal_draws(tree: ast.Module) -> list[str]:
     return found
 
 
+def _trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+
+
 def test_only_the_optical_elements_draw_normals():
-    drawn = {
-        name
-        for path in MODULES
-        for name in _normal_draws(ast.parse(path.read_text(), filename=str(path)))
-    }
+    drawn = {name for tree in _trees() for name in _callers(tree, "standard_normal")}
     assert drawn == DRAWS_NORMALS
 
 
@@ -95,7 +95,39 @@ def test_check_names_each_function_that_draws_normals():
         "    return [draw(1), rng.standard_normal(1)]\n"
         "x = RNG.standard_normal(3)\n"
     )
-    assert _normal_draws(tree) == ["A.f", "g", "<module>"]
+    assert _callers(tree, "standard_normal") == ["A.f", "g", "<module>"]
+
+
+#: The one threaded path, and the functions that alone may call each of its
+#: steps: only `run_session` draws ahead, and only `FrameRows.prefetch`
+#: reaches the helper thread or makes a shared draw, so every other draw
+#: fills serially on the calling thread.
+THREADED_PATH = {
+    "prefetch": {"run_session.draw_ahead"},
+    "_row_helper": {"FrameRows.prefetch"},
+    "_Job": {"FrameRows.prefetch"},
+}
+
+
+def _threaded_callers(trees) -> dict[str, set[str]]:
+    """The functions that call each step of `THREADED_PATH`."""
+    return {
+        step: {caller for tree in trees for caller in _callers(tree, step)}
+        for step in THREADED_PATH
+    }
+
+
+def test_only_the_draws_ahead_run_on_the_helper_thread():
+    assert _threaded_callers(_trees()) == THREADED_PATH
+
+
+def test_check_flags_a_shared_draw_planted_in_the_plain_draw():
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    frame_rows = next(n for n in tree.body if getattr(n, "name", "") == "FrameRows")
+    draw = next(n for n in frame_rows.body if getattr(n, "name", "") == "standard_normal")
+    draw.body.insert(0, ast.parse("_Job(self.seed, [], None, ())").body[0])
+    called = _threaded_callers([tree])
+    assert called["_Job"] == {"FrameRows.prefetch", "FrameRows.standard_normal"}
 
 
 #: Modules that start or manage threads.  Only `quadrature.py`, whose frame
