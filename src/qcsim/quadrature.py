@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import queue
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +32,7 @@ R_MAX = 100.0
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-# (pid, job queue or None) of this process's row-filling helper thread.
+# (pid, executor or None) of this process's row-filling helper thread.
 _helper = None
 _helper_lock = threading.Lock()
 
@@ -106,7 +105,7 @@ class FrameRows:
     in ints costs about half of setting one held in NumPy arrays, and
     skips the entropy pull of building a fresh generator.  A draw fills
     serially on the calling thread, unless `prefetch` started it ahead:
-    with two or more usable CPUs that queues the draw as a `_Job` for a
+    with two or more usable CPUs that submits the draw, a `_Job`, to a
     helper thread, and the draw that takes it fills the rows the helper has
     not claimed yet.  NumPy releases the GIL while it fills.
     """
@@ -128,11 +127,11 @@ class FrameRows:
     def prefetch(self, shape) -> None:
         """Start the draw of `shape` on the helper thread, if there is one;
         the next `standard_normal` must draw that shape and returns it."""
-        jobs = _row_helper()
-        if jobs is not None:
+        executor = _row_helper()
+        if executor is not None:
             out = self._empty(shape)
-            self._ahead = _Job(self.seed, self.ids.tolist(), out, tuple(shape))
-            jobs.put(self._ahead)
+            self._ahead = job = _Job(self.seed, self.ids.tolist(), out, tuple(shape))
+            job.task = executor.submit(job.work)
 
     def cancel(self) -> None:
         """Drop the draw started by `prefetch`, if one is open: claim its
@@ -151,8 +150,6 @@ class FrameRows:
             job.finish(fill=False)
             raise ValueError(f"draw of {shape} from rows drawn as {job.shape}")
         job.finish()
-        if job.error is not None:
-            raise job.error
         return job.out.swapaxes(0, 1)
 
 
@@ -190,14 +187,12 @@ def _fill_rows(seed: int, ids: list[int], rows: np.ndarray) -> None:
 
 class _Job:
     """One shared draw: rows of `out` that any thread claims one at a time
-    under the lock and fills from its own substream.  `done` is set once
-    every row is claimed and none is in flight; `error` is the first error
-    a fill raised, after which the rows left are claimed unfilled."""
+    under the lock and fills from its own substream.  `task` is the
+    helper's run of `work`, submitted by `FrameRows.prefetch`."""
 
     def __init__(self, seed: int, ids: list[int], out: np.ndarray, shape: tuple):
         self.seed, self.ids, self.out, self.shape = seed, ids, out, shape
-        self.done, self._lock = threading.Event(), threading.Lock()
-        self.error, self._next, self._left = None, 0, len(ids)
+        self._lock, self._next, self.task = threading.Lock(), 0, None
 
     def work(self, fill: bool = True) -> None:
         """Claim the unclaimed rows until none is left; fill each if `fill`."""
@@ -207,43 +202,36 @@ class _Job:
                 if i == len(self.ids):
                     return
                 self._next = i + 1
-            error = None
-            if fill and self.error is None:
-                try:
-                    _fill_rows(self.seed, self.ids[i : i + 1], self.out[i : i + 1])
-                except BaseException as exc:
-                    error = exc
-            with self._lock:
-                self.error = self.error or error
-                self._left -= 1
-                if not self._left:
-                    self.done.set()
+            if fill:
+                _fill_rows(self.seed, self.ids[i : i + 1], self.out[i : i + 1])
 
     def finish(self, fill: bool = True) -> None:
-        """Claim the unclaimed rows here, filling each if `fill`, and wait
-        for those in flight on the other thread."""
+        """Cancel the task if the helper has not started it, claim the rows
+        left here, filling each if `fill`, and wait for the row in flight on
+        the helper; with `fill`, raise the error the task raised."""
+        started = not self.task.cancel()
         self.work(fill)
-        self.done.wait()
-
-
-def _serve(jobs) -> None:
-    """Work on each job from `jobs` in turn; errors stay with their job."""
-    while True:
-        jobs.get().work()
+        if started:
+            error = self.task.exception()
+            if fill and error is not None:
+                raise error
 
 
 def _row_helper():
-    """The job queue of this process's helper thread, started on first
-    use; None with fewer than two usable CPUs.  Kept per pid, so a forked
-    child starts its own."""
+    """This process's helper thread, an executor of one worker made on
+    first use; None with fewer than two usable CPUs.  Kept per pid, so a
+    forked child makes its own."""
     global _helper
     with _helper_lock:
         if _helper is None or _helper[0] != os.getpid():
-            jobs = None
+            executor = None
             if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2:
-                jobs = queue.SimpleQueue()
-                threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
-            _helper = (os.getpid(), jobs)
+                # Imported here: it pulls in `logging`, which a process that
+                # never draws ahead need not load.
+                from concurrent.futures import ThreadPoolExecutor
+
+                executor = ThreadPoolExecutor(max_workers=1)
+            _helper = (os.getpid(), executor)
         return _helper[1]
 
 

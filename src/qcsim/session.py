@@ -328,9 +328,9 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
     chunks = [(f, False) for f in _chunks(np.flatnonzero(blocked), cfg.slots_per_frame)]
     chunks += [(f, True) for f in _chunks(np.flatnonzero(sent), cfg.slots_per_frame)]
     # With frames of `_DRAW_AHEAD_SLOTS` or more, the helper thread draws
-    # each chunk's EPR and detector-noise rows ahead, the first chunk's at
-    # once; their shapes are those `_outbound` and `add_noise` draw, and a
-    # draw of another shape raises.
+    # each chunk's EPR, loss and detector-noise rows ahead, the first's at
+    # once, in the shapes `_outbound`, `beam_splitter` and `add_noise` draw;
+    # a draw of another shape raises.
     ahead = {}
 
     def rows(frames, phase):
@@ -338,6 +338,10 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
 
     def draw_ahead(frames, is_sent):
         draws = {_PHASE_EPR: 4 if is_sent else 2}
+        if cfg.eta_out < 1.0:
+            draws[_PHASE_LOSS_OUT] = 2 if is_sent else 1
+        if is_sent and cfg.eta_back < 1.0:
+            draws[_PHASE_LOSS_BACK] = 2
         if cfg.detector.electronic_noise_var != 0.0:
             draws[_PHASE_DETECTOR if is_sent else _PHASE_SCOPES] = 2
         for phase, k in draws.items():

@@ -8,8 +8,9 @@ from qcsim import quadrature
 @pytest.fixture
 def open_jobs(monkeypatch):
     """The shared draws made while the test runs that are still open: no
-    draw has taken or cancelled them, or one returned before their last row
-    was filled.  In the order they were made."""
+    draw has taken or cancelled them, or one returned, or raised, before
+    their helper task was done and every row claimed.  In the order they
+    were made."""
     jobs = []
 
     class Recorded(quadrature._Job):
@@ -18,9 +19,11 @@ def open_jobs(monkeypatch):
             jobs.append(self)
 
         def finish(self, fill=True):
-            super().finish(fill)
-            if self.done.is_set() and self in jobs:
-                jobs.remove(self)
+            try:
+                super().finish(fill)
+            finally:
+                if self.task.done() and self._next == len(self.ids) and self in jobs:
+                    jobs.remove(self)
 
     monkeypatch.setattr(quadrature, "_Job", Recorded)
     return jobs

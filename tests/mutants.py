@@ -62,18 +62,18 @@ MUTANTS = [
         "            if True:\n                i = self._next\n",
         f"{_ROWS_TESTS}::test_two_threads_claiming_at_once_fill_each_row_once",
     ),
-    # `finish` returns without waiting for the rows in flight.
+    # `finish` returns without waiting for the row in flight on the helper.
     Mutant(
         _QUADRATURE,
-        "        self.work(fill)\n        self.done.wait()\n",
-        "        self.work(fill)\n",
+        "        if started:\n",
+        "        if started and self.task.done():\n",
         f"{_ROWS_TESTS}::test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile",
     ),
-    # A row's fill error is dropped, leaving the row unfilled.
+    # The helper's fill error is dropped, leaving its row unfilled.
     Mutant(
         _QUADRATURE,
-        "                self.error = self.error or error\n",
-        "                self.error = self.error\n",
+        "            if fill and error is not None:\n",
+        "            if False:\n",
         f"{_ROWS_TESTS}::test_the_draw_that_takes_a_failed_draw_ahead_raises_its_error",
     ),
     # `cancel` fills the unclaimed rows of a draw nobody takes.
@@ -83,12 +83,12 @@ MUTANTS = [
         "        if job is not None:\n            job.finish()\n",
         "tests/test_draw_ahead.py::test_a_session_that_raises_mid_walk_leaves_the_helper_ready",
     ),
-    # `done` is set while the last row is still in flight.
+    # The return leg's loss vacuum is not drawn ahead.
     Mutant(
-        _QUADRATURE,
-        "                if not self._left:\n",
-        "                if self._left <= 1:\n",
-        f"{_ROWS_TESTS}::test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile",
+        "src/qcsim/session.py",
+        "        if is_sent and cfg.eta_back < 1.0:\n            draws[_PHASE_LOSS_BACK] = 2\n",
+        "",
+        "tests/test_draw_ahead.py::test_every_draw_ahead_is_taken",
     ),
     # The session draws only the chunks after the first ahead.
     Mutant(

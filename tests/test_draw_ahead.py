@@ -1,6 +1,6 @@
-"""The session's draws ahead: `run_session` starts the first chunk's EPR and
-detector-noise rows on the helper thread at once, and while it computes one
-chunk, the helper draws the next chunk's.
+"""The session's draws ahead: `run_session` starts the first chunk's EPR,
+loss-vacuum and detector-noise rows on the helper thread at once, and while
+it computes one chunk, the helper draws the next chunk's.
 
 The transcript must not move by a byte, every draw ahead must be taken by
 the stage it was drawn for, and an error on either thread must reach the
@@ -110,6 +110,12 @@ def test_every_draw_ahead_is_taken(noise):
     # Every chunk is drawn ahead, the first included: its EPR rows and,
     # with electronic noise, its detector or oscilloscope noise rows.
     assert len(started) == 5 * (2 if noise else 1)
+    assert taken == started
+    # On lossy legs each chunk's outbound loss vacuum is drawn ahead too,
+    # and each of the three sent chunks' return loss vacuum.
+    started, taken = _walk(_long(frames=24, block_prob=0.5, eta_out=0.7, eta_back=0.7,
+                                 detector=DetectorConfig(electronic_noise_var=noise)))
+    assert len(started) == 5 * (3 if noise else 2) + 3
     assert taken == started
 
 

@@ -100,12 +100,13 @@ def test_check_names_each_function_that_draws_normals():
 
 #: The one threaded path, and the functions that alone may call each of its
 #: steps: only `run_session` draws ahead, and only `FrameRows.prefetch`
-#: reaches the helper thread or makes a shared draw, so every other draw
-#: fills serially on the calling thread.
+#: reaches the helper thread, makes a shared draw or submits work to the
+#: helper, so every other draw fills serially on the calling thread.
 THREADED_PATH = {
     "prefetch": {"run_session.draw_ahead"},
     "_row_helper": {"FrameRows.prefetch"},
     "_Job": {"FrameRows.prefetch"},
+    "submit": {"FrameRows.prefetch"},
 }
 
 
@@ -188,18 +189,15 @@ def _defined_names(trees) -> set[str]:
     return {n.name for tree in trees for n in ast.walk(tree) if isinstance(n, kinds)}
 
 
-def _thread_targets(tree: ast.Module) -> list[str]:
-    """The names passed as a `target=` keyword, in source order."""
+def _submitted(tree: ast.Module) -> list[str]:
+    """The callables passed first to each `submit(` or `.submit(` call, by
+    name or as an attribute, in source order."""
     calls = sorted(
-        (n for n in ast.walk(tree) if isinstance(n, ast.Call)),
+        (n for n in ast.walk(tree) if isinstance(n, ast.Call) and n.args and "submit"
+         in (getattr(n.func, "attr", None), getattr(n.func, "id", None))),
         key=lambda n: (n.lineno, n.col_offset),
     )
-    return [
-        k.value.id
-        for n in calls
-        for k in n.keywords
-        if k.arg == "target" and isinstance(k.value, ast.Name)
-    ]
+    return [getattr(n.args[0], "attr", getattr(n.args[0], "id", None)) for n in calls]
 
 
 def _definitions(tree: ast.Module, name: str) -> list:
@@ -239,19 +237,25 @@ def _package_names() -> set[str]:
 def test_the_helper_thread_calls_only_the_row_fill():
     # `bench/tracing.py` keeps one span stack and plain counters: a traced
     # stage run on the helper thread would interleave spans and race counts.
-    # The helper works on shared draws, whose claim loop fills rows.
+    # The helper is an executor's worker, and `src/` starts no thread of its
+    # own.  Its one task is a shared draw's claim loop, which fills rows.
+    trees = _trees()
+    assert [caller for tree in trees for caller in _callers(tree, "Thread")] == []
+    submitting = [caller for tree in trees for caller in _callers(tree, "submit")]
+    assert submitting == ["FrameRows.prefetch"]
     tree = ast.parse((SRC / "quadrature.py").read_text())
-    assert _thread_targets(tree) == ["_serve"]
-    assert _reached(tree, "_serve", _package_names()) == ["work", "_fill_rows"]
+    assert _submitted(tree) == ["work"]
+    assert _reached(tree, "work", _package_names()) == ["_fill_rows"]
 
 
 def test_check_names_each_thread_target_and_its_package_calls():
     tree = ast.parse(
         "def serve(jobs):\n    job = jobs.get()\n    fill(job)\n    stage.run(job)\n"
         "    print(job)\n    fill(job)\n"
-        "Thread(target=serve, daemon=True)\nThread(target=idle)\nThread(run)\n"
+        "pool.submit(serve, 1)\npool.submit(job.work)\npool.submit()\nsubmit(idle)\n"
+        "Thread(target=run)\n"
     )
-    assert _thread_targets(tree) == ["serve", "idle"]
+    assert _submitted(tree) == ["serve", "work", "idle"]
     assert _calls_among(tree, "serve", {"fill", "run", "serve"}) == [
         "fill",
         "run",
@@ -274,5 +278,13 @@ def test_check_flags_a_package_call_planted_in_the_claim_loop():
     (work,) = _definitions(tree, "work")
     loop = next(n for n in ast.walk(work) if isinstance(n, ast.While))
     loop.body.append(ast.parse("trace_stats(self.out)").body[0])
-    reached = _reached(tree, "_serve", _package_names())
-    assert sorted(reached) == ["_fill_rows", "trace_stats", "work"]
+    reached = _reached(tree, "work", _package_names())
+    assert sorted(reached) == ["_fill_rows", "trace_stats"]
+
+
+def test_check_flags_another_callable_submitted_to_the_helper():
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    (prefetch,) = _definitions(tree, "prefetch")
+    prefetch.body.append(ast.parse("executor.submit(self.standard_normal, shape)").body[0])
+    assert sorted(_submitted(tree)) == ["standard_normal", "work"]
+    assert _callers(tree, "submit") == ["FrameRows.prefetch"] * 2
