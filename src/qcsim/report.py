@@ -12,10 +12,12 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .detection import NoiseSpectrum
-from .quadrature import Quadrature
 from .session import SessionTranscript, compare_keys
 from .verification import BlockTraces
 
@@ -61,19 +63,24 @@ def _num(x) -> float | None:
     return float(fmt(x))
 
 
-def config_to_dict(config) -> dict:
-    """JSON-ready fields of a config dataclass, nested sections included; an
-    attack spec also records its `kind`."""
-    d = {"kind": config.kind} if hasattr(config, "kind") else {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            value = config_to_dict(value)
-        elif isinstance(value, Quadrature):
-            value = value.value
-        elif f.type.startswith("float"):
-            value = _num(value)
-        d[f.name] = value
+def record_to_dict(record):
+    """JSON-ready form of a result or config record.  A dataclass becomes
+    the dict of its fields, and an attack spec also records its `kind`.  A
+    field annotated `float` is written at `FLOAT_SPEC`; any other value is
+    walked by the same rules: an enum is written by its value, an array as
+    its `FLOAT_SPEC` lines, a dict with `str` keys, anything else as it is."""
+    if isinstance(record, Enum):
+        return record.value
+    if isinstance(record, np.ndarray):
+        return _render(_LINE, record).splitlines()
+    if isinstance(record, dict):
+        return {str(k): record_to_dict(v) for k, v in record.items()}
+    if not is_dataclass(record):
+        return record
+    d = {"kind": record.kind} if hasattr(record, "kind") else {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        d[f.name] = _num(value) if f.type.startswith("float") else record_to_dict(value)
     return d
 
 
@@ -120,62 +127,23 @@ def _dumps(obj, newline: str) -> str:
 def transcript_to_dict(transcript: SessionTranscript) -> dict:
     """Full session record as JSON-compatible data; deterministic in the config."""
     t = transcript
-    cd = None
-    if t.cd is not None:
-        cd = {
-            "measured_plus_db": _num(t.cd.measured_plus_db),
-            "measured_minus_db": _num(t.cd.measured_minus_db),
-            "expected_db": _num(t.cd.expected_db),
-        }
-    eve = None
-    if t.eve is not None:
-        eve = {
-            "decoded_bits": list(t.eve.decoded_bits),
-            "observations": {
-                str(frame): _render(_LINE, samples).splitlines()
-                for frame, samples in sorted(t.eve.observations.items())
-            },
-        }
     return {
-        "config": config_to_dict(t.config),
+        "config": record_to_dict(t.config),
         "signal_amplitude": _num(t.signal_amplitude),
         "sent_bits": t.sent_bits,
         "decoded_bits": t.decoded_bits,
         "confidences": [_num(c) for c in t.confidences],
         "blocked_frames": list(t.blocked_frames),
-        "frame_cd": [
-            {
-                "frame": fc.frame_index,
-                "plus_db": _num(fc.plus_db),
-                "minus_db": _num(fc.minus_db),
-            }
-            for fc in t.frame_cd
-        ],
-        "cd": cd,
+        "frame_cd": [record_to_dict(fc) for fc in t.frame_cd],
+        "cd": record_to_dict(t.cd),
         "trace_stats": [
-            {
-                "frame": traces.frame,
-                "pearson": _num(stats.pearson),
-                "rms_sum": _num(stats.rms_sum),
-                "rms_diff": _num(stats.rms_diff),
-            }
+            {"frame": traces.frame, **record_to_dict(stats)}
             for traces, stats in zip(t.traces, t.trace_stats)
         ],
-        "traces": [
-            {
-                "frame": traces.frame,
-                "alice": _render(_LINE, traces.alice).splitlines(),
-                "bob": _render(_LINE, traces.bob).splitlines(),
-            }
-            for traces in t.traces
-        ],
-        "verdict": {"status": t.verdict.status.value, "reasons": list(t.verdict.reasons)},
-        "outcome": {
-            "accepted": t.outcome.accepted,
-            "key": t.outcome.key,
-            "reason": t.outcome.reason,
-        },
-        "eve": eve,
+        "traces": [record_to_dict(traces) for traces in t.traces],
+        "verdict": record_to_dict(t.verdict),
+        "outcome": record_to_dict(t.outcome),
+        "eve": record_to_dict(t.eve),
     }
 
 
@@ -245,7 +213,7 @@ def build_run_report(
         blocked_frames=t.blocked_frames,
         trace_files=trace_files,
         spectrum_file=spectrum_file,
-        config=config_to_dict(t.config),
+        config=record_to_dict(t.config),
     )
 
 

@@ -88,10 +88,10 @@ class SessionConfig:
             _check_r(self.r)
         except DomainError as exc:
             raise ConfigError(f"r: {exc}") from None
+        if not isinstance(self.key_bits, str) or set(self.key_bits) - {"0", "1"}:
+            raise ConfigError(f"key_bits must be a 0/1 string, got {self.key_bits!r}")
         if not self.key_bits:
             raise ConfigError("key_bits must contain at least one bit")
-        if set(self.key_bits) - {"0", "1"}:
-            raise ConfigError(f"key_bits must be a 0/1 string, got {self.key_bits!r}")
         for name in ("seed", "frames", "slots_per_frame"):
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
@@ -120,7 +120,7 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class FrameCd:
-    frame_index: int
+    frame: int
     plus_db: float
     minus_db: float
 

@@ -53,6 +53,8 @@ class Mutant(NamedTuple):
 
 _QUADRATURE = "src/qcsim/quadrature.py"
 _ROWS_TESTS = "tests/test_quadrature.py"
+_REPORT = "src/qcsim/report.py"
+_RECORD_TEST = "tests/test_report.py::test_transcript_writes_each_record_by_its_fields"
 
 MUTANTS = [
     # The threaded draw: a row claimed without the lock.
@@ -104,6 +106,25 @@ MUTANTS = [
         "        job, self._ahead = None, None\n        if job is None:\n",
         f"{_ROWS_TESTS}::test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile",
     ),
+    # The record walk rounds only fields annotated exactly `float`, so a
+    # `float | None` threshold is echoed unrounded.
+    Mutant(
+        _REPORT,
+        'if f.type.startswith("float")',
+        'if f.type == "float"',
+        _RECORD_TEST,
+    ),
+    # The record walk keeps enums, so the verdict status is not a string.
+    Mutant(_REPORT, "    if isinstance(record, Enum):\n", "    if False:\n", _RECORD_TEST),
+    # Arrays are written by `repr`, not at `FLOAT_SPEC`.
+    Mutant(
+        _REPORT,
+        "        return _render(_LINE, record).splitlines()\n",
+        "        return list(map(repr, record.tolist()))\n",
+        _RECORD_TEST,
+    ),
+    # Dict keys are kept as they are, so Eve's frames stay integers.
+    Mutant(_REPORT, "{str(k): record_to_dict(v)", "{k: record_to_dict(v)", _RECORD_TEST),
 ]
 
 

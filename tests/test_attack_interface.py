@@ -9,7 +9,7 @@ from qcsim.adversary import InterceptResend, NoAttack, Qnd, Tap
 from qcsim.cli import _apply_sweep_param
 from qcsim.config import load_config
 from qcsim.quadrature import Quadrature
-from qcsim.report import config_to_dict as attack_to_dict
+from qcsim.report import record_to_dict as attack_to_dict
 from qcsim.session import SessionConfig
 
 SESSION = "[session]\nr = 0.4375\nkey_bits = 1\nseed = 1\n"

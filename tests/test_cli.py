@@ -728,6 +728,9 @@ def _grid_case(param, grid, named):
         _grid_case(
             "sigma_m", "1e-310:1:0.5", "grid point sigma_m=1e-310: measurement_var"
         ),
+        # Grids that are not three numbers.
+        _grid_case("tau", "0:1", "grid must be start:stop:step"),
+        _grid_case("tau", "0:a:0.1", "grid values must be numbers"),
     ],
 )
 def test_sweep_rejects_unbounded_grid_before_any_session(
@@ -948,7 +951,7 @@ def test_config_parses_attack_and_sections(tmp_path):
     assert spectrum_settings.averages == 64
 
 
-def test_config_rejects_bad_values(tmp_path):
+def test_config_rejects_bad_values(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[session]\nr = abc\nkey_bits = 1\nseed = 1\n")
     with pytest.raises(ConfigError, match=r"\[session\] r"):
@@ -963,3 +966,18 @@ def test_config_rejects_bad_values(tmp_path):
     )
     with pytest.raises(ConfigError, match=r"\[attack\]"):
         load_config(path)
+    # Each of these exits 1 through the command line, with its message.
+    session = "[session]\nr = 0.4375\nkey_bits = 1\nseed = 1\n"
+    for text, message in [
+        (session + "frames = 2.5\n", "[session] frames: expected an integer, got '2.5'"),
+        (session + "[attack]\nkind = qnd\nmeasured_quadrature = z\n",
+         "[attack] measured_quadrature: expected 'x' or 'y', got 'z'"),
+        ("r = 0.4375\n" + session, "cannot parse"),
+        (session + "[foo]\n", "unknown config section [foo]"),
+        (session.replace("key_bits = 1", "key_bits = 12"),
+         "key_bits must be a 0/1 string, got '12'"),
+    ]:
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -23,7 +23,7 @@ from qcsim.session import SessionConfig
 from qcsim.verification import Thresholds
 from qcsim.adversary import ATTACKS
 from qcsim.errors import ConfigError
-from qcsim.report import config_to_dict
+from qcsim.report import record_to_dict as config_to_dict
 
 REQUIRED = object()
 

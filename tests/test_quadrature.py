@@ -334,6 +334,8 @@ def test_frame_rows_reject_negative_indices_and_mismatched_draws():
         RngStream(1).rows([0, -1], 2)
     with pytest.raises(DomainError):
         RngStream(1).rows([0], -1)
+    with pytest.raises(DomainError):
+        RngStream(1).substream(-1)
     with pytest.raises(ValueError):
         RngStream(1).rows([0, 1], 2).standard_normal((2, 3, 8))
 

@@ -1,6 +1,7 @@
 """The trace and spectrum writers render every float exactly as a row-by-row
-`format(float(x), ".10g")` does, whatever the value, and the deterministic
-JSON dump writes exactly what `json.dumps` writes."""
+`format(float(x), ".10g")` does, whatever the value, the deterministic
+JSON dump writes exactly what `json.dumps` writes, and the transcript writes
+each record by its fields."""
 
 import json
 
@@ -9,9 +10,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qcsim.adversary import Qnd, Tap
 from qcsim.detection import NoiseSpectrum
-from qcsim.report import dumps_deterministic, write_spectrum_csv, write_trace_csv
-from qcsim.verification import BlockTraces
+from qcsim.quadrature import Quadrature
+from qcsim.report import (
+    dumps_deterministic,
+    transcript_to_dict,
+    write_spectrum_csv,
+    write_trace_csv,
+)
+from qcsim.session import SessionConfig, run_session
+from qcsim.verification import BlockTraces, Thresholds
 
 # Signed zeros, subnormals, the float extremes, non-finite values, and
 # values on either side of %g's switches between fixed and exponent
@@ -127,3 +136,82 @@ def test_deterministic_dump_writes_what_json_dumps_writes(obj):
 def test_deterministic_dump_refuses_non_finite_floats(value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         dumps_deterministic({"a": [1, {"b": value}]})
+
+
+def _floats(obj):
+    """Every float in a JSON-ready value."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _floats(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _floats(value)
+
+
+def _lines(samples) -> list[str]:
+    return [fmt(x) for x in samples]
+
+
+@pytest.mark.parametrize(
+    "attack, attack_dict",
+    [
+        (Tap(tau=0.2), {"kind": "tap", "tau": 0.2}),
+        (
+            Qnd(Quadrature.Y, measurement_var=0.5),
+            {"kind": "qnd", "measured_quadrature": "y", "measurement_var": 0.5},
+        ),
+    ],
+    ids=["tap", "qnd"],
+)
+def test_transcript_writes_each_record_by_its_fields(attack, attack_dict):
+    # 14 significant digits, so the echo must be the 10-digit rounding.
+    pearson = -0.12345678901234
+    t = run_session(SessionConfig(
+        key_bits="1011", seed=3, frames=12, slots_per_frame=64, eta_out=0.8,
+        eta_back=0.9, block_prob=0.5, attack=attack,
+        thresholds=Thresholds(pearson=pearson),
+    ))
+    assert t.traces and t.frame_cd and t.eve.observations
+    d = transcript_to_dict(t)
+
+    # Every float is its source at FLOAT_SPEC.
+    assert all(x == float(fmt(x)) for x in _floats(d))
+    assert d["config"]["thresholds"]["pearson"] == float(fmt(pearson)) != pearson
+    assert d["signal_amplitude"] == float(fmt(t.signal_amplitude))
+    assert d["cd"] == {
+        "measured_plus_db": float(fmt(t.cd.measured_plus_db)),
+        "measured_minus_db": float(fmt(t.cd.measured_minus_db)),
+        "expected_db": float(fmt(t.cd.expected_db)),
+    }
+    assert d["trace_stats"] == [
+        {
+            "frame": traces.frame,
+            "pearson": float(fmt(stats.pearson)),
+            "rms_sum": float(fmt(stats.rms_sum)),
+            "rms_diff": float(fmt(stats.rms_diff)),
+        }
+        for traces, stats in zip(t.traces, t.trace_stats)
+    ]
+    # Each frame's cd has exactly these keys.
+    assert d["frame_cd"] == [
+        {
+            "frame": fc.frame,
+            "plus_db": float(fmt(fc.plus_db)),
+            "minus_db": float(fmt(fc.minus_db)),
+        }
+        for fc in t.frame_cd
+    ]
+    # Enums are written by their values.
+    assert type(d["verdict"]["status"]) is str
+    assert d["verdict"]["status"] == t.verdict.status.value
+    assert d["config"]["attack"] == attack_dict
+    # Arrays are written as their FLOAT_SPEC lines.
+    assert d["traces"] == [
+        {"frame": traces.frame, "alice": _lines(traces.alice), "bob": _lines(traces.bob)}
+        for traces in t.traces
+    ]
+    assert d["eve"]["observations"] == {
+        str(frame): _lines(samples) for frame, samples in t.eve.observations.items()
+    }

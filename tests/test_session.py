@@ -254,6 +254,10 @@ def test_config_validation_messages_name_fields():
                         ("seed", True), ("seed", 7.0), ("seed", np.float64(7))]:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             run_session(_config(**{name: value}))
+    # A key that is not a string is refused by name, not run and echoed.
+    for value in (["1", "0"], 101):
+        with pytest.raises(ConfigError, match="key_bits must be a 0/1 string"):
+            run_session(_config(key_bits=value))
 
 
 @pytest.mark.parametrize("np_int", [np.int64, np.uint64])

@@ -153,6 +153,15 @@ def test_trace_stats_rejects_mismatched_lengths():
         trace_stats(np.zeros((1, 10)), np.zeros((1, 11)))
     with pytest.raises(ValueError):
         trace_stats(np.zeros(10), np.zeros(10))
+    with pytest.raises(ValueError, match="must have equal length"):
+        record_block_traces(
+            _blocked_schedule(0),
+            np.array([0]),
+            np.zeros((1, 10)),
+            np.zeros((1, 11)),
+            NOISELESS,
+            RngStream(1),
+        )
 
 
 def test_rms_sum_equals_rms_diff_for_independent_traces():
