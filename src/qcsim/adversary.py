@@ -28,6 +28,7 @@ from .quadrature import (
     Quadrature,
     RngStream,
     SqueezeParam,
+    _check_numbers,
     _check_r,
     beam_splitter,
     sample_slots,
@@ -52,6 +53,7 @@ class Tap:
     tau: float = 0.1
 
     def __post_init__(self):
+        _check_numbers(self)
         _check_tau(self.tau)
 
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
@@ -67,6 +69,7 @@ class InterceptResend:
     fake_r: float = 1.0
 
     def __post_init__(self):
+        _check_numbers(self)
         _check_r(self.fake_r)
 
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
@@ -83,6 +86,7 @@ class Qnd:
     measurement_var: float = 1.0
 
     def __post_init__(self):
+        _check_numbers(self)
         back_action_var(self.measurement_var)
 
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import FrameRows, Quadrature, RngStream, _check_r
+from .quadrature import FrameRows, Quadrature, RngStream, _check_numbers, _check_r
 
 #: Shot-noise limit of a joint two-beam measurement, in shot-noise units.
 TWO_BEAM_SNL = 2.0
@@ -23,12 +23,17 @@ TWO_BEAM_SNL = 2.0
 #: Default electronic noise per output channel: 8 dB below the two-beam SNL.
 DEFAULT_ELECTRONIC_NOISE_VAR = TWO_BEAM_SNL * 10.0 ** (-0.8)
 
+#: Most bins a spectrum may hold: its arrays and its CSV file grow with the
+#: span over the resolution bandwidth.
+MAX_SPECTRUM_BINS = 100_000
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
     electronic_noise_var: float = DEFAULT_ELECTRONIC_NOISE_VAR
 
     def __post_init__(self):
+        _check_numbers(self)
         if not (
             math.isfinite(self.electronic_noise_var)
             and self.electronic_noise_var >= 0.0
@@ -122,6 +127,7 @@ class SpectrumSettings:
     signal_freq_hz: float = 2.0e6
 
     def __post_init__(self):
+        _check_numbers(self)
         lo, hi = self.span_low_hz, self.span_high_hz
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(
@@ -131,6 +137,13 @@ class SpectrumSettings:
             raise DomainError(
                 f"rbw_hz must lie in (0, span], got {self.rbw_hz!r} "
                 f"for a span of {hi - lo:g} Hz"
+            )
+        # `spectrum` makes floor(span / rbw + 1e-9) + 1 bins; the ratio is
+        # compared unrounded, so that an infinite one is refused too.
+        if not (hi - lo) / self.rbw_hz + 1e-9 < MAX_SPECTRUM_BINS:
+            raise DomainError(
+                f"rbw_hz {self.rbw_hz!r} splits the span of {hi - lo:g} Hz into "
+                f"more than {MAX_SPECTRUM_BINS} bins"
             )
         if self.averages < 1:
             raise DomainError(f"averages must be >= 1, got {self.averages!r}")

@@ -12,10 +12,11 @@ are no time-domain cavity dynamics.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -266,6 +267,24 @@ class HidingWindow:
     def contains(self, power: float) -> bool:
         """True if `power` lies strictly inside the window."""
         return self.lower < power < self.upper
+
+
+def _check_numbers(record, error: type[Exception] = DomainError) -> None:
+    """Store each `int` and `float` field of the frozen dataclass `record`
+    as a Python int or float.  Raises `error` naming the first field that
+    holds a bool, a string, None (unless its annotation allows None) or
+    any other value that is no integer or real number."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "int":
+            kind, ok, cast = "an integer", hasattr(value, "__index__"), operator.index
+        elif f.type.startswith("float") and not (value is None and "None" in f.type):
+            kind, ok, cast = "a real number", isinstance(value, numbers.Real), float
+        else:
+            continue
+        if isinstance(value, (bool, np.bool_)) or not ok:
+            raise error(f"{f.name} must be {kind}, got {value!r}")
+        object.__setattr__(record, f.name, cast(value))
 
 
 def _check_r(r: float) -> float:

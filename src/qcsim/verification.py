@@ -17,7 +17,7 @@ import numpy as np
 
 from .detection import DetectorConfig
 from .errors import DomainError, ProtocolOrderError
-from .quadrature import FrameRows, RngStream, SqueezeParam, _check_r
+from .quadrature import FrameRows, RngStream, SqueezeParam, _check_numbers, _check_r
 
 
 def schedule_blocks(n_frames: int, block_prob: float, rng: RngStream) -> np.ndarray:
@@ -114,6 +114,7 @@ class Thresholds:
     cd_margin_db: float = 0.5
 
     def __post_init__(self):
+        _check_numbers(self)
         if not (math.isfinite(self.cd_margin_db) and self.cd_margin_db > 0.0):
             raise DomainError(
                 f"cd margin must be > 0 dB, got {self.cd_margin_db!r}"

@@ -52,6 +52,7 @@ class Mutant(NamedTuple):
 
 
 _QUADRATURE = "src/qcsim/quadrature.py"
+_SESSION = "src/qcsim/session.py"
 _ROWS_TESTS = "tests/test_quadrature.py"
 _REPORT = "src/qcsim/report.py"
 _RECORD_TEST = "tests/test_report.py::test_transcript_writes_each_record_by_its_fields"
@@ -87,14 +88,14 @@ MUTANTS = [
     ),
     # The return leg's loss vacuum is not drawn ahead.
     Mutant(
-        "src/qcsim/session.py",
+        _SESSION,
         "        if is_sent and cfg.eta_back < 1.0:\n            draws[_PHASE_LOSS_BACK] = 2\n",
         "",
         "tests/test_draw_ahead.py::test_every_draw_ahead_is_taken",
     ),
     # The session draws only the chunks after the first ahead.
     Mutant(
-        "src/qcsim/session.py",
+        _SESSION,
         "        if threaded:\n            draw_ahead(*chunks[0])\n",
         "",
         "tests/test_draw_ahead.py::test_every_draw_ahead_is_taken",
@@ -125,6 +126,34 @@ MUTANTS = [
     ),
     # Dict keys are kept as they are, so Eve's frames stay integers.
     Mutant(_REPORT, "{str(k): record_to_dict(v)", "{k: record_to_dict(v)", _RECORD_TEST),
+    # Chunks of twice the slots, and so twice the working set.
+    Mutant(
+        _SESSION,
+        "_CHUNK_SLOTS = 1 << 15\n",
+        "_CHUNK_SLOTS = 1 << 16\n",
+        "tests/test_session.py::test_a_long_session_holds_one_chunk_at_a_time",
+    ),
+    # Two frames a chunk even when one frame is longer than a chunk.
+    Mutant(
+        _SESSION,
+        "    step = max(1, _CHUNK_SLOTS // slots_per_frame)\n",
+        "    step = max(2, _CHUNK_SLOTS // slots_per_frame)\n",
+        "tests/test_chunk_walk.py::test_hooks_see_chunks_of_one_kind",
+    ),
+    # A float field takes any value `float` converts, a string included.
+    Mutant(
+        _QUADRATURE,
+        '"a real number", isinstance(value, numbers.Real), float',
+        '"a real number", True, float',
+        "tests/test_session.py::test_config_validation_messages_name_fields",
+    ),
+    # The spectrum may hold one bin more than the cap.
+    Mutant(
+        "src/qcsim/detection.py",
+        "+ 1e-9 < MAX_SPECTRUM_BINS:\n",
+        "+ 1e-9 < MAX_SPECTRUM_BINS + 1:\n",
+        "tests/test_detection.py::test_spectrum_input_validation",
+    ),
 ]
 
 

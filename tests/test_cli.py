@@ -425,6 +425,7 @@ def test_run_rejects_removed_signal_quadrature_key(tmp_path, capsys):
         "rbw_hz = 3e6",
         "span_low_hz = 3e6\nspan_high_hz = 1e6",
         "signal_freq_hz = 5e6",
+        "rbw_hz = 0.001",
     ],
     ids=[
         "negative-averages",
@@ -433,6 +434,7 @@ def test_run_rejects_removed_signal_quadrature_key(tmp_path, capsys):
         "rbw-above-span",
         "reversed-span",
         "signal-outside-span",
+        "too-many-bins",
     ],
 )
 def test_run_rejects_invalid_spectrum_section(tmp_path, capsys, section, spectrum_flag):

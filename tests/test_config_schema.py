@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qcsim.config import load_config
 from qcsim.detection import (
     DEFAULT_ELECTRONIC_NOISE_VAR,
+    MAX_SPECTRUM_BINS,
     DetectorConfig,
     SpectrumSettings,
 )
@@ -59,11 +60,12 @@ SCHEMA = {
     },
     # Each key's domain keeps every mix with the other keys' defaults a
     # valid span: low <= 1 MHz < 3 MHz <= high, a resolution bandwidth
-    # within the narrowest such span and a signal inside it.
+    # within the narrowest such span that splits the widest, 2 GHz, into
+    # at most MAX_SPECTRUM_BINS bins, and a signal inside it.
     "spectrum": {
         "span_low_hz": (st.floats(-1e9, 1.0e6), 1.0e6),
         "span_high_hz": (st.floats(3.0e6, 1e9), 3.0e6),
-        "rbw_hz": (st.floats(0.0, 2.0e6, exclude_min=True), 30.0e3),
+        "rbw_hz": (st.floats(2e9 / (MAX_SPECTRUM_BINS - 1), 2.0e6), 30.0e3),
         "averages": (st.integers(1, 10**9), 100),
         "signal_freq_hz": (st.floats(1.0e6, 3.0e6), 2.0e6),
     },

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qcsim.detection import (
     DEFAULT_ELECTRONIC_NOISE_VAR,
-    DEFAULT_ELECTRONIC_NOISE_VAR,
+    MAX_SPECTRUM_BINS,
     DetectorConfig,
     JointMeasurement,
     SpectrumSettings,
@@ -292,6 +292,18 @@ def test_spectrum_input_validation():
         SpectrumSettings(averages=0)
     with pytest.raises(DomainError, match="signal_freq_hz"):
         SpectrumSettings(averages=10, signal_freq_hz=5.0e6)
+    # The cap is exact: 2 MHz in steps of 2e6/(cap - 1) Hz is the cap's
+    # bins, in steps of 20 Hz one bin more.
+    capped = SpectrumSettings(rbw_hz=2e6 / (MAX_SPECTRUM_BINS - 1))
+    spec = spectrum(1.0, capped, NOISELESS, RngStream(1))
+    assert spec.freq_hz.size == MAX_SPECTRUM_BINS
+    with pytest.raises(DomainError, match="rbw_hz .* more than 100000 bins"):
+        SpectrumSettings(rbw_hz=2e6 / MAX_SPECTRUM_BINS)
+    # 2e9 bins would be asked of `spectrum`; an infinite span holds inf.
+    with pytest.raises(DomainError, match="rbw_hz .* more than 100000 bins"):
+        SpectrumSettings(rbw_hz=1e-3)
+    with pytest.raises(DomainError, match="rbw_hz .* more than 100000 bins"):
+        SpectrumSettings(span_low_hz=-1e308, span_high_hz=1e308)
 
 
 def test_spectrum_deterministic_under_stream():

@@ -101,21 +101,25 @@ def _walk(cfg) -> tuple[list, list]:
 
 @pytest.mark.parametrize("noise", [0.0, DEFAULT_ELECTRONIC_NOISE_VAR])
 def test_every_draw_ahead_is_taken(noise):
-    # 11 blocked frames in two chunks of six frames at most, so that a
-    # blocked chunk is drawn ahead too, and 13 sent frames in three.
+    # 11 blocked frames in two or more chunks, so that a blocked chunk is
+    # drawn ahead too, and 13 sent frames in more still.
     cfg = _long(frames=24, block_prob=0.5,
                 detector=DetectorConfig(electronic_noise_var=noise))
     assert len(run_session(cfg).blocked_frames) == 11
+    per_chunk = _CHUNK_SLOTS // cfg.slots_per_frame
+    blocked_chunks, sent_chunks = -(-11 // per_chunk), -(-13 // per_chunk)
+    assert blocked_chunks >= 2
+    chunks = blocked_chunks + sent_chunks
     started, taken = _walk(cfg)
     # Every chunk is drawn ahead, the first included: its EPR rows and,
     # with electronic noise, its detector or oscilloscope noise rows.
-    assert len(started) == 5 * (2 if noise else 1)
+    assert len(started) == chunks * (2 if noise else 1)
     assert taken == started
     # On lossy legs each chunk's outbound loss vacuum is drawn ahead too,
-    # and each of the three sent chunks' return loss vacuum.
+    # and each sent chunk's return loss vacuum.
     started, taken = _walk(_long(frames=24, block_prob=0.5, eta_out=0.7, eta_back=0.7,
                                  detector=DetectorConfig(electronic_noise_var=noise)))
-    assert len(started) == 5 * (3 if noise else 2) + 3
+    assert len(started) == chunks * (3 if noise else 2) + sent_chunks
     assert taken == started
 
 
@@ -151,9 +155,12 @@ def test_a_session_that_raises_mid_walk_leaves_the_helper_ready(
 ):
     cfg = _long(block_prob=0.0)
     expected = _serial(cfg)
-    # Six frames a chunk: the third chunk's EPR rows are those of frames
-    # 12-17, and the helper holds on the first of them.
-    third = RngStream(cfg.seed).rows(range(12, 18), 2).ids.tolist()
+    # The third chunk's EPR rows are those of its frames, and the helper
+    # holds on the first of them.
+    per_chunk = _CHUNK_SLOTS // cfg.slots_per_frame
+    assert 3 * per_chunk <= cfg.frames
+    start = 2 * per_chunk
+    third = RngStream(cfg.seed).rows(range(start, start + per_chunk), 2).ids.tolist()
     main, fill = threading.get_ident(), quadrature._fill_rows
     held, release, filled, encoded = threading.Event(), threading.Event(), [], []
 

@@ -1,14 +1,16 @@
 import math
+import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qcsim import session
+from qcsim import quadrature, session
 from qcsim.adversary import InterceptResend, NoAttack, Qnd, Tap
-from qcsim.detection import DetectorConfig
-from qcsim.errors import ConfigError, HidingWindowError
+from qcsim.detection import DetectorConfig, SpectrumSettings
+from qcsim.errors import ConfigError, DomainError, HidingWindowError
 from qcsim.quadrature import FrameRows, Quadrature, RngStream, sample_slots
 from qcsim.report import transcript_to_json
 from qcsim.session import (
@@ -258,6 +260,24 @@ def test_config_validation_messages_name_fields():
     for value in (["1", "0"], 101):
         with pytest.raises(ConfigError, match="key_bits must be a 0/1 string"):
             run_session(_config(key_bits=value))
+    # A float field holding a string, a bool or None is refused by name, not
+    # run on a converted value or left to raise a bare TypeError.
+    for name, value in [("r", "0.4375"), ("margin", "0.5"), ("eta_out", None),
+                        ("eta_back", np.bool_(True)), ("block_prob", True)]:
+        with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+            run_session(_config(**{name: value}))
+    # So is one of a section or an attack, which raise DomainError.
+    for cls, name, value in [
+        (DetectorConfig, "electronic_noise_var", "0.1"),
+        (Thresholds, "cd_margin_db", "0.5"),
+        (Thresholds, "pearson", True),
+        (SpectrumSettings, "rbw_hz", None),
+        (Tap, "tau", "0.1"),
+        (InterceptResend, "fake_r", "1.0"),
+        (Qnd, "measurement_var", "1.0"),
+    ]:
+        with pytest.raises(DomainError, match=f"{name} must be a real number"):
+            cls(**{name: value})
 
 
 @pytest.mark.parametrize("np_int", [np.int64, np.uint64])
@@ -266,6 +286,49 @@ def test_numpy_integer_fields_run_as_python_ints(np_int):
     assert all(type(v) is int for v in (cfg.seed, cfg.frames, cfg.slots_per_frame))
     expected = transcript_to_json(run_session(_config(frames=6, slots_per_frame=64)))
     assert transcript_to_json(run_session(cfg)) == expected
+
+
+def test_numpy_float_fields_run_as_python_floats():
+    cfg = _config(r=np.float64(0.4375), margin=np.float32(0.5), eta_out=1,
+                  attack=Tap(np.float64(0.3)), thresholds=Thresholds(np.float64(-0.2)))
+    assert all(type(v) is float for v in (cfg.r, cfg.margin, cfg.eta_out,
+                                           cfg.attack.tau, cfg.thresholds.pearson))
+    expected = _config(r=0.4375, margin=0.5, eta_out=1.0, attack=Tap(0.3),
+                       thresholds=Thresholds(-0.2))
+    assert transcript_to_json(run_session(cfg)) == transcript_to_json(
+        run_session(expected)
+    )
+
+
+#: Most traced bytes a 40 x 10 000 session may hold beyond its transcript,
+#: with its draws filled serially or the next chunk's drawn ahead.
+WORKING_SET_BOUND_MB = {"serial": 4.5, "drawn_ahead": 7.0}
+
+
+@pytest.mark.parametrize("draws", sorted(WORKING_SET_BOUND_MB))
+@pytest.mark.parametrize(
+    "attack", [NoAttack(), Tap(0.3), InterceptResend(1.0), Qnd(Quadrature.X, 1.0)],
+    ids=lambda attack: attack.kind,
+)
+def test_a_long_session_holds_one_chunk_at_a_time(monkeypatch, draws, attack):
+    # A session's working set is one chunk's arrays, and the next chunk's
+    # draws when they are drawn ahead on the helper thread, whatever the
+    # session's length.  Measured: 3.0-3.6 MB serial and 4.3-5.3 MB drawn
+    # ahead, against 5.7-7.2 and 8.6-10.6 MB with chunks of twice the slots.
+    if draws == "serial":
+        monkeypatch.setattr(quadrature, "_row_helper", lambda: None)
+    else:
+        monkeypatch.setattr(quadrature, "_helper", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = _config(frames=40, slots_per_frame=10_000, block_prob=0.35, attack=attack)
+    tracemalloc.start()
+    try:
+        transcript = run_session(cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert transcript.blocked_frames and transcript.decoded_bits
+    assert (peak - held) / 1e6 < WORKING_SET_BOUND_MB[draws]
 
 
 def test_finalize_rules():
