@@ -30,6 +30,7 @@ from .quadrature import (
     SqueezeParam,
     _check_numbers,
     _check_r,
+    _plus,
     beam_splitter,
     sample_slots,
 )
@@ -197,15 +198,14 @@ def qnd_measure(
 
     The measured quadrature is forwarded unchanged and read out with noise
     of variance measurement_var; the conjugate quadrature of the forwarded
-    beam gains independent noise of variance 1/measurement_var.
+    beam gains independent noise of variance 1/measurement_var.  `x` and
+    `y` are not written.
     """
-    disturbance = back_action_var(measurement_var)
+    sd, sm = math.sqrt(back_action_var(measurement_var)), math.sqrt(measurement_var)
     readout, kick = rng.standard_normal((2, *np.shape(x)))
-    readout = math.sqrt(measurement_var) * readout
-    kick = math.sqrt(disturbance) * kick
     if quadrature is Quadrature.X:
-        return ProbeResult(to_bob=(x, y + kick), eve=x + readout)
-    return ProbeResult(to_bob=(x + kick, y), eve=y + readout)
+        return ProbeResult(to_bob=(x, _plus(sd, kick, y)), eve=_plus(sm, readout, x))
+    return ProbeResult(to_bob=(_plus(sd, kick, x), y), eve=_plus(sm, readout, y))
 
 
 class ProbeEve:
@@ -299,4 +299,6 @@ class InterceptResendEve:
         self.record.observations.update(
             zip(np.asarray(frames).tolist(), measurement.d_plus)
         )
+        # Freed before the genuine beams are re-encoded, the chunk's peak.
+        del idler, measurement
         return encode_bit(np.array(bits), self.amplitude, *real, self.session_r)

@@ -46,12 +46,15 @@ class DetectorConfig:
     def add_noise(self, a, b, rng: RngStream | FrameRows):
         """`a` and `b` each plus independent zero-mean electronic noise of the
         configured variance, from one (2, *shape) draw; unchanged, and
-        nothing drawn, when the variance is 0."""
+        nothing drawn, when the variance is 0.  The sums are formed in the
+        draw, as its (non-contiguous) rows; `a` and `b` are not written."""
         if self.electronic_noise_var == 0.0:
             return a, b
-        scale = math.sqrt(self.electronic_noise_var)
-        noise_a, noise_b = rng.standard_normal((2, *np.shape(a)))
-        return a + scale * noise_a, b + scale * noise_b
+        noise = rng.standard_normal((2, *np.shape(a)))
+        noise *= math.sqrt(self.electronic_noise_var)
+        noise[0] += a
+        noise[1] += b
+        return noise[0], noise[1]
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,8 @@ def bell_measure(
     """Measure the amplitude sum and phase difference of two beams.
 
     `received` and `idler` are (x, y) pairs; each output channel gains
-    independent zero-mean electronic noise of the configured variance.
+    independent zero-mean electronic noise of the configured variance.  The
+    outputs may be the two (non-contiguous) rows of one noise draw.
     """
     d = cfg.add_noise(received[0] + idler[0], received[1] - idler[1], rng)
     return JointMeasurement(*d)

@@ -41,6 +41,13 @@ _helper_lock = threading.Lock()
 SqueezeParam = float
 
 
+def _index(value, name: str) -> int:
+    """`value` as a Python int; a bool, NumPy's included, is refused."""
+    if isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 class Quadrature(Enum):
     """Amplitude-like (X) or phase-like (Y) component of the field."""
 
@@ -62,13 +69,13 @@ class RngStream:
 
     def __post_init__(self):
         # NumPy integers become Python ints, which the 64-bit masks need.
-        object.__setattr__(self, "seed", operator.index(self.seed))
-        object.__setattr__(self, "substream_id", operator.index(self.substream_id))
+        for name in ("seed", "substream_id"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
+        if not 0 <= self.seed <= _MASK64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed & _MASK64, self.substream_id & _MASK64], dtype=np.uint64
-        )
+        key = np.array([self.seed, self.substream_id & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def standard_normal(self, shape) -> np.ndarray:
@@ -77,7 +84,7 @@ class RngStream:
 
     def substream(self, index: int, phase: int = 0) -> "RngStream":
         """Child stream; distinct (phase, index) pairs never collide."""
-        index, phase = operator.index(index), operator.index(phase)
+        index, phase = _index(index, "index"), _index(phase, "phase")
         if index < 0 or phase < 0:
             raise DomainError("substream index and phase must be non-negative")
         return RngStream(self.seed, ((phase & _MASK32) << 32) | (index & _MASK32))
@@ -85,13 +92,14 @@ class RngStream:
     def rows(self, frames, phase: int = 0) -> "FrameRows":
         """Child streams `substream(f, phase)` of every frame index f in
         `frames`, drawn together as rows of one array."""
-        frames = np.asarray(frames, dtype=np.int64)
-        phase = operator.index(phase)
+        if np.asarray(frames).dtype == bool:
+            raise DomainError("frames must be integer frame indices, got bools")
+        frames, phase = np.asarray(frames, dtype=np.int64), _index(phase, "phase")
         if phase < 0 or (frames.size and frames.min() < 0):
             raise DomainError("substream index and phase must be non-negative")
         ids = (np.uint64((phase & _MASK32) << 32)
                | (frames.astype(np.uint64) & np.uint64(_MASK32)))
-        return FrameRows(self.seed & _MASK64, ids)
+        return FrameRows(self.seed, ids)
 
 
 class FrameRows:
@@ -309,17 +317,24 @@ def slot_from_normals(r, u, v, w=None, z=None):
     The combination gives anticorrelated amplitude quadratures and correlated
     phase quadratures: every single quadrature has variance cosh(2r) while
     x1+x2 and y1-y2 have variance 2*exp(-2r).  Inputs may be scalars or
-    arrays.  Without `w` and `z` the phase quadratures are None.
+    arrays and are not written.  Without `w` and `z` the phase quadratures
+    are None.
     """
     r = _check_r(r)
     a = math.exp(-r) / math.sqrt(2.0)
     b = math.exp(r) / math.sqrt(2.0)
-    au, bv = a * u, b * v
+    x1, x2 = _sum_and_difference(a * u, b * v)
     y1 = y2 = None
     if w is not None:
-        bw, az = b * w, a * z
-        y1, y2 = bw + az, bw - az
-    return SlotPair(x1=au + bv, y1=y1, x2=au - bv, y2=y2)
+        y1, y2 = _sum_and_difference(b * w, a * z)
+    return SlotPair(x1=x1, y1=y1, x2=x2, y2=y2)
+
+
+def _sum_and_difference(p, q):
+    """(p + q, p - q), the sum formed in place in `p` after the difference."""
+    diff = p - q
+    p += q
+    return p, diff
 
 
 def covariance_matrix(r: SqueezeParam) -> np.ndarray:
@@ -346,7 +361,8 @@ def sample_slots(
 
     With `phases` false only the amplitude normals u and v are drawn, and
     y1 and y2 are None.  A stream fills each draw (each frame row) in
-    order, u, v, w, z, so the x1 and x2 are those of the full draw.
+    order, u, v, w, z, so the x1 and x2 are those of the full draw.  Each
+    quadrature is a contiguous array of its own; the draw is freed on return.
     """
     shape = tuple(int(s) for s in np.atleast_1d(n))
     if min(shape) < 1:
@@ -361,10 +377,21 @@ def beam_splitter(
     and reflection `r`; returns the transmitted (t*x + r*vx, t*y + r*vy)
     and the reflected amplitude r*x - t*vx, or None for it when `reflect`
     is false.  With `y` None only vx is drawn, and the transmitted y is
-    None."""
+    None.  The vacuum is scaled in place in its draw; `x` and `y` are not
+    written."""
     vacuum = rng.standard_normal((1 if y is None else 2, *np.shape(x)))
-    transmitted = (t * x + r * vacuum[0], None if y is None else t * y + r * vacuum[1])
-    return transmitted, r * x - t * vacuum[0] if reflect else None
+    # The reflected port reads the vacuum before it is scaled in place.
+    reflected = _plus(r, x, -t * vacuum[0]) if reflect else None
+    vacuum *= r
+    out_y = None if y is None else _plus(t, y, vacuum[1])
+    return (_plus(t, x, vacuum[0]), out_y), reflected
+
+
+def _plus(c, beam, other):
+    """c*beam + other, the sum formed in place in the product."""
+    out = c * beam
+    out += other
+    return out
 
 
 def apply_loss(x, y, eta: float, rng: RngStream | FrameRows):

@@ -60,8 +60,8 @@ _PHASE_PROBE = 1001  # the CLI's unmodulated sweep probe
 # The attacker's private source randomness lives in its own keyspace.
 _EVE_SEED_SALT = 0x517CC1B727220A95
 
-#: Seeds lie in [0, SEED_SPAN): `RngStream` keys on the seed's low 64 bits,
-#: so a seed outside that range would alias one inside it.
+#: Seeds lie in [0, SEED_SPAN), the seeds `RngStream` accepts: it keys on
+#: 64 bits, so a seed outside that range would alias one inside it.
 SEED_SPAN = 2**64
 
 ABORT_EVE_SUSPECTED = "eavesdropper_suspected"
@@ -218,7 +218,8 @@ def _outbound(
     cfg: SessionConfig, frames: np.ndarray, rows, eve: Eavesdropper | None, phases: bool
 ):
     """Sample the slots of `frames` and carry their signal beams to the
-    sender; returns the slots and the signal beam's (x, y) as it arrives.
+    sender; returns the idler's (x, y) and the signal beam's (x, y) as it
+    arrives, so the sampled signal beam is freed once no stage holds it.
     `rows(frames, phase)` gives the frame rows of each substream phase."""
     shape = (frames.size, cfg.slots_per_frame)
     slots = sample_slots(cfg.r, rows(frames, _PHASE_EPR), shape, phases=phases)
@@ -228,7 +229,7 @@ def _outbound(
     )
     if eve is not None:
         sig_x, sig_y = eve.substitute(frames, sig_x, sig_y)
-    return slots, sig_x, sig_y
+    return (slots.x2, slots.y2), sig_x, sig_y
 
 
 def _chunks(frames: np.ndarray, slots_per_frame: int):
@@ -250,9 +251,9 @@ def _simulate_blocked(
     """Record the traces of a chunk of blocked frames and append them and
     their statistics to `tally`.  The traces read only amplitude
     quadratures, so no phase quadrature is drawn."""
-    slots, sig_x, _ = _outbound(cfg, frames, rows, eve, phases=False)
+    (idler_x, _), sig_x, _ = _outbound(cfg, frames, rows, eve, phases=False)
     alice, bob = record_block_traces(
-        blocked, frames, sig_x, slots.x2, cfg.detector, rows(frames, _PHASE_SCOPES)
+        blocked, frames, sig_x, idler_x, cfg.detector, rows(frames, _PHASE_SCOPES)
     )
     tally.traces.extend(map(BlockTraces, frames.tolist(), alice, bob))
     tally.trace_stats.extend(trace_stats(alice, bob))
@@ -278,7 +279,7 @@ def simulate_frame(
     draw comes from frame f's own substream, so the results equal those of
     simulating the frames one at a time.
     """
-    slots, sig_x, sig_y = _outbound(cfg, frames, rows, eve, phases=True)
+    idler, sig_x, sig_y = _outbound(cfg, frames, rows, eve, phases=True)
     sig_x, sig_y = encode_bit(bits[frames], amplitude, sig_x, sig_y, cfg.r)
 
     # Return leg: attacker hooks near the sender's output, then channel loss.
@@ -287,7 +288,7 @@ def simulate_frame(
     sig_x, sig_y = apply_loss(sig_x, sig_y, cfg.eta_back, rows(frames, _PHASE_LOSS_BACK))
 
     measurement = bell_measure(
-        (sig_x, sig_y), (slots.x2, slots.y2), cfg.detector, rows(frames, _PHASE_DETECTOR)
+        (sig_x, sig_y), idler, cfg.detector, rows(frames, _PHASE_DETECTOR)
     )
     decoded = decode_bit(measurement, noise_var)
     tally.decoded_bits.extend(decoded.bit)

@@ -57,7 +57,7 @@ def record_block_traces(
     amplitude quadrature of whatever beam arrived; the receiver's signal
     port is dark, so the receiver's trace is the retained idler's
     amplitude quadrature.  Each trace gains the recording detector's
-    electronic noise.
+    electronic noise; the two traces may be the rows of one noise draw.
     """
     unblocked = frames[~blocked[frames]]
     if unblocked.size:

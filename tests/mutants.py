@@ -56,6 +56,7 @@ _SESSION = "src/qcsim/session.py"
 _ROWS_TESTS = "tests/test_quadrature.py"
 _REPORT = "src/qcsim/report.py"
 _RECORD_TEST = "tests/test_report.py::test_transcript_writes_each_record_by_its_fields"
+_STAGES_TEST = "tests/test_draw_stages.py::test_each_drawing_stage_computes_its_textbook_expression"
 
 MUTANTS = [
     # The threaded draw: a row claimed without the lock.
@@ -147,6 +148,29 @@ MUTANTS = [
         '"a real number", True, float',
         "tests/test_session.py::test_config_validation_messages_name_fields",
     ),
+    # The EPR source takes a pair's difference after its sum is stored.
+    Mutant(
+        _QUADRATURE,
+        "    diff = p - q\n    p += q\n",
+        "    p += q\n    diff = p - q\n",
+        _STAGES_TEST,
+    ),
+    # The detector adds its noise before scaling it.
+    Mutant(
+        "src/qcsim/detection.py",
+        "        noise *= math.sqrt(self.electronic_noise_var)\n"
+        "        noise[0] += a\n        noise[1] += b\n",
+        "        noise[0] += a\n        noise[1] += b\n"
+        "        noise *= math.sqrt(self.electronic_noise_var)\n",
+        _STAGES_TEST,
+    ),
+    # The beam splitter's reflected port reads the scaled vacuum.
+    Mutant(
+        _QUADRATURE,
+        "    reflected = _plus(r, x, -t * vacuum[0]) if reflect else None\n    vacuum *= r\n",
+        "    vacuum *= r\n    reflected = _plus(r, x, -t * vacuum[0]) if reflect else None\n",
+        _STAGES_TEST,
+    ),
     # The spectrum may hold one bin more than the cap.
     Mutant(
         "src/qcsim/detection.py",
@@ -158,10 +182,11 @@ MUTANTS = [
 
 
 def label(mutant: Mutant) -> str:
-    """The mutant's first changed line, old -> new."""
+    """The mutant's first changed line, old -> new; for a patch that only
+    reorders lines, the first line of each."""
     old, new = mutant.old.splitlines(), mutant.new.splitlines()
-    removed = next(line for line in old if line not in new)
-    added = next((line for line in new if line not in old), "")
+    removed = next((line for line in old if line not in new), old[0])
+    added = next((line for line in new if line not in old), new[0] if new else "")
     return f"{mutant.file}: {removed.strip()!r} -> {added.strip()!r}"
 
 

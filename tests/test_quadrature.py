@@ -275,19 +275,19 @@ def test_expected_sum_variance_rejects_noise_that_a_detector_rejects(noise_var):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
     phase=st.integers(min_value=0, max_value=2**33),
     frames=st.lists(st.integers(min_value=0, max_value=2**33), min_size=1, max_size=5),
     k=st.integers(min_value=1, max_value=4),
     rest=st.lists(st.integers(min_value=0, max_value=9), max_size=2),
 )
-# The top of both key words: seed -1 and 2**64 - 1 mask to the largest key,
-# and a frame index and phase of 2**32 - 1 make the largest substream id.
-@example(seed=-1, phase=2**32 - 1, frames=[2**32 - 1, 0], k=2, rest=[3])
+# Both ends of the key words: seeds 0 and 2**64 - 1, and a frame index and
+# phase of 2**32 - 1, which make the largest substream id.
+@example(seed=0, phase=2**32 - 1, frames=[2**32 - 1, 0], k=2, rest=[3])
 @example(seed=2**64 - 1, phase=2**32 - 1, frames=[0, 2**32 - 1], k=1, rest=[5])
 def test_frame_rows_draw_what_each_substream_draws(seed, phase, frames, k, rest):
-    # Seeds outside [0, 2**64) and indices or phases past 32 bits are
-    # masked by RngStream; the batched rows must mask them the same way.
+    # Indices and phases past 32 bits are masked by RngStream; the batched
+    # rows must mask them the same way.
     root = RngStream(seed)
     drawn = root.rows(frames, phase).standard_normal((k, len(frames), *rest))
     assert drawn.shape == (k, len(frames), *rest)
@@ -338,6 +338,22 @@ def test_frame_rows_reject_negative_indices_and_mismatched_draws():
         RngStream(1).substream(-1)
     with pytest.raises(ValueError):
         RngStream(1).rows([0, 1], 2).standard_normal((2, 3, 8))
+    # A bool is no integer, NumPy's included, and a seed outside [0, 2**64)
+    # would alias one inside it; each refusal names the argument.
+    for build, name in [
+        (lambda: RngStream(True), "seed"),
+        (lambda: RngStream(np.True_), "seed"),
+        (lambda: RngStream(1, False), "substream_id"),
+        (lambda: RngStream(-1), "seed"),
+        (lambda: RngStream(2**64), "seed"),
+        (lambda: RngStream(1).substream(True, 0), "index"),
+        (lambda: RngStream(1).substream(0, np.False_), "phase"),
+        (lambda: RngStream(1).rows([True, False], 2), "frames"),
+        (lambda: RngStream(1).rows(np.array([1, 0], dtype=bool), 2), "frames"),
+        (lambda: RngStream(1).rows([0, 1], True), "phase"),
+    ]:
+        with pytest.raises(DomainError, match=name):
+            build()
 
 
 def test_sample_slots_over_frame_rows_equals_per_frame_draws():
