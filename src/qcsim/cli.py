@@ -24,9 +24,10 @@ from .quadrature import RngStream, apply_loss, sample_slots
 from .report import (
     build_run_report,
     fmt,
+    write_file,
     write_report,
     write_spectrum_csv,
-    write_trace_csv,
+    write_trace_files,
 )
 from .session import (
     ABORT_EVE_SUSPECTED,
@@ -132,11 +133,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trace_files = []
-    for traces in transcript.traces:
-        name = f"trace_frame_{traces.frame:04d}.csv"
-        write_trace_csv(out_dir / name, traces)
-        trace_files.append(name)
+    trace_files = write_trace_files(out_dir, transcript.traces)
 
     spectrum_file = None
     if args.spectrum:
@@ -152,7 +149,7 @@ def _cmd_run(args) -> int:
             ),
         )
 
-    report = build_run_report(transcript, tuple(trace_files), spectrum_file)
+    report = build_run_report(transcript, trace_files, spectrum_file)
     write_report(out_dir / "report.json", report)
     _remove_stale_run_files(out_dir, {*trace_files, spectrum_file})
 
@@ -305,7 +302,7 @@ def _cmd_sweep(args) -> int:
     out_path = Path(args.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(lines) + "\n")
+    write_file(out_path, "\n".join(lines) + "\n")
     print(f"wrote {out_path} ({len(values)} grid points)")
     return EXIT_OK
 

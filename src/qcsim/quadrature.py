@@ -92,8 +92,10 @@ class RngStream:
     def rows(self, frames, phase: int = 0) -> "FrameRows":
         """Child streams `substream(f, phase)` of every frame index f in
         `frames`, drawn together as rows of one array."""
-        if np.asarray(frames).dtype == bool:
-            raise DomainError("frames must be integer frame indices, got bools")
+        # By dtype in an array, by item in a list: np.asarray([1, True]) is int64.
+        if (frames.dtype == bool if isinstance(frames, np.ndarray) else
+                any(isinstance(f, (bool, np.bool_)) for f in frames)):
+            raise DomainError("frames must be integer frame indices, got a bool")
         frames, phase = np.asarray(frames, dtype=np.int64), _index(phase, "phase")
         if phase < 0 or (frames.size and frames.min() < 0):
             raise DomainError("substream index and phase must be non-negative")
@@ -226,6 +228,11 @@ class _Job:
                 raise error
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 0 where the platform cannot say."""
+    return len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+
+
 def _row_helper():
     """This process's helper thread, an executor of one worker made on
     first use; None with fewer than two usable CPUs.  Kept per pid, so a
@@ -234,7 +241,7 @@ def _row_helper():
     with _helper_lock:
         if _helper is None or _helper[0] != os.getpid():
             executor = None
-            if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2:
+            if usable_cpus() >= 2:
                 # Imported here: it pulls in `logging`, which a process that
                 # never draws ahead need not load.
                 from concurrent.futures import ThreadPoolExecutor

@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import warnings
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .detection import NoiseSpectrum
+from .quadrature import usable_cpus
 from .session import SessionTranscript, compare_keys
 from .verification import BlockTraces
 
@@ -217,8 +220,14 @@ def build_run_report(
     )
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Write `text` as UTF-8 bytes, whatever the platform's line end or locale."""
+    with open(path, "wb") as f:
+        f.write(text.encode())
+
+
 def write_report(path: str | Path, report: RunReport) -> None:
-    Path(path).write_text(dumps_deterministic(report.to_dict()))
+    write_file(path, dumps_deterministic(report.to_dict()))
 
 
 def load_report(path: str | Path) -> RunReport:
@@ -241,9 +250,55 @@ def write_trace_csv(path: str | Path, traces: BlockTraces) -> None:
         raise ValueError(
             f"trace of frame {traces.frame}: alice has {len(a)} points, bob {len(b)}"
         )
-    text = _trace_template(len(a)) % _interleave((a, b))
-    with open(path, "w") as f:
-        f.write(text)
+    write_file(path, _trace_template(len(a)) % _interleave((a, b)))
+
+
+#: Fewest values a forked writer's share must hold: below about 8 000, the
+#: fork, wait and copy-on-write faults cost more than they save (2 vCPUs).
+_FORK_MIN_VALUES = 10_000
+
+
+def write_trace_files(out_dir: str | Path, traces) -> tuple[str, ...]:
+    """Write each trace to `trace_frame_<frame>.csv` in `out_dir`; return the
+    names.  With `os.fork`, two usable CPUs and `_FORK_MIN_VALUES` values in
+    the second half of the traces, a forked child writes that half and sends
+    any error over a pipe; this process writes the first half, then reaps
+    the child and raises OSError with its message if it failed."""
+    names = tuple(f"trace_frame_{t.frame:04d}.csv" for t in traces)
+    jobs = list(zip([Path(out_dir) / name for name in names], traces))
+    split = (len(jobs) + 1) // 2
+    values = sum(2 * len(t.alice) for t in traces[split:])
+    if not hasattr(os, "fork") or usable_cpus() < 2 or values < _FORK_MIN_VALUES:
+        _write_traces(jobs)
+        return names
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():  # 3.12+ warns of threads; the child locks nothing
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # The child never unwinds into its caller: it leaves by `_exit`.
+        status = 1
+        try:
+            _write_traces(jobs[split:])
+            status = 0
+        except BaseException as exc:
+            os.write(write_end, str(exc).encode())
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        _write_traces(jobs[:split])
+    finally:
+        with open(read_end, "rb") as pipe:
+            error = pipe.read().decode(errors="replace")
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise OSError(error or f"trace writer failed with wait status {status}")
+    return names
+
+
+def _write_traces(jobs) -> None:
+    for path, traces in jobs:
+        write_trace_csv(path, traces)
 
 
 def write_spectrum_csv(path: str | Path, spectrum: NoiseSpectrum) -> None:
@@ -255,4 +310,4 @@ def write_spectrum_csv(path: str | Path, spectrum: NoiseSpectrum) -> None:
         spectrum.correlation_db,
     )
     header = "freq_hz,snl_db,single_beam_db,correlation_db\n"
-    Path(path).write_text(header + rows)
+    write_file(path, header + rows)

@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: broke, so the runner leaves them out.
 DIGEST_TESTS = (
     "tests/test_cli.py::test_golden_file_regression",
+    "tests/test_cli.py::test_forked_trace_writer_gives_the_golden_digests",
     "tests/test_cli.py::test_sweep_golden_digest",
     "tests/test_chunk_walk.py::test_chunk_walk_keeps_per_frame_bytes",
     "tests/test_bench_contract.py::test_first_attack_cycle_matches_reference_digests",
@@ -56,6 +57,10 @@ _SESSION = "src/qcsim/session.py"
 _ROWS_TESTS = "tests/test_quadrature.py"
 _REPORT = "src/qcsim/report.py"
 _RECORD_TEST = "tests/test_report.py::test_transcript_writes_each_record_by_its_fields"
+_WRITER_TESTS = "tests/test_trace_writer.py"
+_CHILD_FAILS_TEST = (
+    f"{_WRITER_TESTS}::test_a_failed_write_in_the_childs_share_exits_1_with_one_error_line"
+)
 _STAGES_TEST = "tests/test_draw_stages.py::test_each_drawing_stage_computes_its_textbook_expression"
 
 MUTANTS = [
@@ -170,6 +175,22 @@ MUTANTS = [
         "    reflected = _plus(r, x, -t * vacuum[0]) if reflect else None\n    vacuum *= r\n",
         "    vacuum *= r\n    reflected = _plus(r, x, -t * vacuum[0]) if reflect else None\n",
         _STAGES_TEST,
+    ),
+    # The parent writes one trace short of its share.
+    Mutant(
+        _REPORT,
+        "        _write_traces(jobs[:split])\n",
+        "        _write_traces(jobs[: split - 1])\n",
+        f"{_WRITER_TESTS}::test_forked_and_serial_trace_writers_write_the_same_bytes",
+    ),
+    # The parent ignores a failed child's exit status.
+    Mutant(_REPORT, "    if status:\n", "    if False:\n", _CHILD_FAILS_TEST),
+    # The child ends without sending its error text.
+    Mutant(
+        _REPORT,
+        "            os.write(write_end, str(exc).encode())\n",
+        "            pass\n",
+        _CHILD_FAILS_TEST,
     ),
     # The spectrum may hold one bin more than the cap.
     Mutant(

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_trace_writer import recorded_forks
 
+from qcsim import report
 from qcsim.adversary import ATTACKS, Tap
 from qcsim.cli import (
     MAX_GRID_POINTS,
@@ -368,6 +371,16 @@ def test_golden_file_regression(tmp_path):
         "trace_frame_0000.csv": "97cb9e48a3ac147e82dc9107ea98a3c90cfd7dcef6ed0eaa13b1a7fb5162accb",
         "trace_frame_0006.csv": "7519c5303810983f75c87616c6b72283abe4f097b32ec0d90cfadba4cbb43613",
     }
+
+
+def test_forked_trace_writer_gives_the_golden_digests(tmp_path, monkeypatch):
+    # With two usable CPUs and the break-even forced down, a forked child
+    # writes the golden session's second trace.
+    forks = recorded_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(report, "_FORK_MIN_VALUES", 1)
+    test_golden_file_regression(tmp_path)
+    assert len(forks) == 1
 
 
 def test_readme_library_example_runs(capsys):

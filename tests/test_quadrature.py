@@ -349,6 +349,8 @@ def test_frame_rows_reject_negative_indices_and_mismatched_draws():
         (lambda: RngStream(1).substream(True, 0), "index"),
         (lambda: RngStream(1).substream(0, np.False_), "phase"),
         (lambda: RngStream(1).rows([True, False], 2), "frames"),
+        (lambda: RngStream(1).rows([1, True], 2), "frames"),
+        (lambda: RngStream(1).rows((0, np.True_), 2), "frames"),
         (lambda: RngStream(1).rows(np.array([1, 0], dtype=bool), 2), "frames"),
         (lambda: RngStream(1).rows([0, 1], True), "phase"),
     ]:

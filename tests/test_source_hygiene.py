@@ -1,7 +1,9 @@
 """Source checks that need no linter: every name a qcsim module imports is
 used in that module, only the optical elements draw normals, only the
-normal draw starts threads, its helper thread runs no stage, and the
-session's draws ahead are its only way onto that thread.
+normal draw starts threads, its helper thread runs no stage, the
+session's draws ahead are its only way onto that thread, only the trace
+writer forks, one function counts the usable CPUs, and every file is
+written as bytes.
 
 `__init__.py` is left out, because its imports are the package's public
 names and are re-exported rather than used.
@@ -58,9 +60,9 @@ DRAWS_NORMALS = {
 }
 
 
-def _callers(tree: ast.Module, name: str) -> list[str]:
-    """Qualified names of the functions or classes that call `name`, as
-    `name(` or `.name(`, one entry per call, in source order."""
+def _scopes(tree: ast.Module, matches) -> list[str]:
+    """Qualified names of the functions or classes that hold a node for
+    which `matches(node)` is true, one entry per node, in source order."""
     found = []
 
     def visit(node, scope):
@@ -68,15 +70,28 @@ def _callers(tree: ast.Module, name: str) -> list[str]:
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = (*scope, child.name)
-            elif isinstance(child, ast.Call) and name in (
-                getattr(child.func, "attr", None),
-                getattr(child.func, "id", None),
-            ):
+            elif matches(child):
                 found.append(".".join(scope) or "<module>")
             visit(child, inner)
 
     visit(tree, ())
     return found
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """Qualified names of the functions or classes that call `name`, as
+    `name(` or `.name(`, one entry per call, in source order."""
+    return _scopes(tree, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)
+    ))
+
+
+def _mentions(tree: ast.Module, word: str) -> list[str]:
+    """Qualified names of the functions or classes that name `word`, as a
+    name, an attribute or a string, one entry per mention, in source order."""
+    return _scopes(tree, lambda node: word in (
+        getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "value", None)
+    ))
 
 
 def _trees() -> list[ast.Module]:
@@ -110,16 +125,16 @@ THREADED_PATH = {
 }
 
 
-def _threaded_callers(trees) -> dict[str, set[str]]:
-    """The functions that call each step of `THREADED_PATH`."""
+def _step_callers(trees, steps) -> dict[str, set[str]]:
+    """The functions that call each step of `steps`."""
     return {
         step: {caller for tree in trees for caller in _callers(tree, step)}
-        for step in THREADED_PATH
+        for step in steps
     }
 
 
 def test_only_the_draws_ahead_run_on_the_helper_thread():
-    assert _threaded_callers(_trees()) == THREADED_PATH
+    assert _step_callers(_trees(), THREADED_PATH) == THREADED_PATH
 
 
 def test_check_flags_a_shared_draw_planted_in_the_plain_draw():
@@ -127,8 +142,90 @@ def test_check_flags_a_shared_draw_planted_in_the_plain_draw():
     frame_rows = next(n for n in tree.body if getattr(n, "name", "") == "FrameRows")
     draw = next(n for n in frame_rows.body if getattr(n, "name", "") == "standard_normal")
     draw.body.insert(0, ast.parse("_Job(self.seed, [], None, ())").body[0])
-    called = _threaded_callers([tree])
+    called = _step_callers([tree], THREADED_PATH)
     assert called["_Job"] == {"FrameRows.prefetch", "FrameRows.standard_normal"}
+
+
+#: The one process path: only the trace writer forks a child, ends it and
+#: reaps it, so no other code of qcsim runs in a forked child.
+FORKING_PATH = {
+    "fork": {"write_trace_files"},
+    "_exit": {"write_trace_files"},
+    "waitpid": {"write_trace_files"},
+}
+
+
+def test_only_the_trace_writer_forks_ends_and_reaps_a_child():
+    assert _step_callers(_trees(), FORKING_PATH) == FORKING_PATH
+
+
+def test_check_flags_a_second_process_caller_planted_in_the_report():
+    tree = ast.parse((SRC / "report.py").read_text())
+    (write,) = _definitions(tree, "write_report")
+    write.body.insert(0, ast.parse("os.waitpid(os.fork(), 0)").body[0])
+    called = _step_callers([tree], FORKING_PATH)
+    assert called["fork"] == called["waitpid"] == {"write_report", "write_trace_files"}
+    assert called["_exit"] == {"write_trace_files"}
+
+
+def test_the_row_helper_and_the_trace_writer_read_one_cpu_count():
+    trees = _trees()
+    callers = sorted(caller for tree in trees for caller in _callers(tree, "usable_cpus"))
+    assert callers == ["_row_helper", "write_trace_files"]
+    assert [m for tree in trees for m in _mentions(tree, "sched_getaffinity")] == [
+        "usable_cpus"
+    ]
+
+
+def test_check_flags_a_cpu_count_planted_in_the_row_helper():
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    (helper,) = _definitions(tree, "_row_helper")
+    helper.body.insert(0, ast.parse("n = len(os.sched_getaffinity(0))").body[0])
+    assert _mentions(tree, "sched_getaffinity") == ["usable_cpus", "_row_helper"]
+
+
+def _text_writes(tree: ast.Module) -> list[str]:
+    """Each `write_text(` or `.write_text(` call, and each `open(` call whose
+    mode is not a binary one, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "write_text":
+            found.append((node.lineno, name))
+        elif isinstance(node.func, ast.Name) and name == "open":
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            mode = node.args[1] if len(node.args) > 1 else next(iter(modes), None)
+            if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)):
+                found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_every_file_is_opened_as_bytes():
+    # Text mode turns each newline into the platform's line end and encodes
+    # in the locale's encoding, so a file could differ by platform.
+    assert [
+        f"{path.name}: {write}"
+        for path in MODULES
+        for write in _text_writes(ast.parse(path.read_text(), filename=str(path)))
+    ] == []
+
+
+def test_check_flags_each_text_write():
+    tree = ast.parse(
+        "Path(p).write_text(s)\nopen(p, 'w')\nwith open(p) as f:\n    pass\n"
+        "open(p, 'rb')\nopen(p, mode='wb')\nopen(p, mode)\nwrite_text(p, s)\n"
+        "open(p, mode='a')\npath.open('w')\n"
+    )
+    assert _text_writes(tree) == [
+        "write_text (line 1)",
+        "open (line 2)",
+        "open (line 3)",
+        "open (line 7)",
+        "write_text (line 8)",
+        "open (line 9)",
+    ]
 
 
 #: Modules that start or manage threads.  Only `quadrature.py`, whose frame
