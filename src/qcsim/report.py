@@ -261,20 +261,30 @@ _FORK_MIN_VALUES = 10_000
 def write_trace_files(out_dir: str | Path, traces) -> tuple[str, ...]:
     """Write each trace to `trace_frame_<frame>.csv` in `out_dir`; return the
     names.  With `os.fork`, two usable CPUs and `_FORK_MIN_VALUES` values in
-    the second half of the traces, a forked child writes that half and sends
-    any error over a pipe; this process writes the first half, then reaps
-    the child and raises OSError with its message if it failed."""
+    the traces after the first n // 2 + 1 of n, a forked child writes those
+    and sends any error over a pipe; this process writes the rest, then
+    reaps the child and raises OSError with its message if it failed.  If
+    the fork fails, this process writes every trace."""
     names = tuple(f"trace_frame_{t.frame:04d}.csv" for t in traces)
     jobs = list(zip([Path(out_dir) / name for name in names], traces))
-    split = (len(jobs) + 1) // 2
+    # This process starts first and the child must exit too: it takes one
+    # trace over half, but leaves the child at least one.
+    split = min(len(jobs) // 2 + 1, len(jobs) - 1)
     values = sum(2 * len(t.alice) for t in traces[split:])
     if not hasattr(os, "fork") or usable_cpus() < 2 or values < _FORK_MIN_VALUES:
         _write_traces(jobs)
         return names
     read_end, write_end = os.pipe()
-    with warnings.catch_warnings():  # 3.12+ warns of threads; the child locks nothing
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
+    try:
+        # Python 3.12+ warns of a fork with threads; the child takes no lock.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # No process to spare: this one writes every trace.
+        os.close(read_end)
+        os.close(write_end)
+        _write_traces(jobs)
+        return names
     if pid == 0:  # The child never unwinds into its caller: it leaves by `_exit`.
         status = 1
         try:

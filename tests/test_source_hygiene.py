@@ -185,8 +185,9 @@ def test_check_flags_a_cpu_count_planted_in_the_row_helper():
 
 
 def _text_writes(tree: ast.Module) -> list[str]:
-    """Each `write_text(` or `.write_text(` call, and each `open(` call whose
-    mode is not a binary one, in source order."""
+    """Each `write_text(` or `.write_text(` call, and each `open(` or
+    `.open(` call whose mode is not a binary one, in source order.
+    `os.open` returns a descriptor, which has no text mode."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -194,9 +195,13 @@ def _text_writes(tree: ast.Module) -> list[str]:
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if name == "write_text":
             found.append((node.lineno, name))
-        elif isinstance(node.func, ast.Name) and name == "open":
+        elif name == "open" and (owner := getattr(
+            getattr(node.func, "value", None), "id", None)) != "os":
+            # The mode follows the path of `open(path, mode)` and
+            # `io.open(path, mode)`, but comes first in `Path.open(mode)`.
+            at = 1 if isinstance(node.func, ast.Name) or owner == "io" else 0
             modes = [k.value for k in node.keywords if k.arg == "mode"]
-            mode = node.args[1] if len(node.args) > 1 else next(iter(modes), None)
+            mode = node.args[at] if len(node.args) > at else next(iter(modes), None)
             if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)):
                 found.append((node.lineno, name))
     return [f"{name} (line {line})" for line, name in sorted(found)]
@@ -216,7 +221,8 @@ def test_check_flags_each_text_write():
     tree = ast.parse(
         "Path(p).write_text(s)\nopen(p, 'w')\nwith open(p) as f:\n    pass\n"
         "open(p, 'rb')\nopen(p, mode='wb')\nopen(p, mode)\nwrite_text(p, s)\n"
-        "open(p, mode='a')\npath.open('w')\n"
+        "open(p, mode='a')\npath.open('w')\npath.open('rb')\nos.open(p, flags)\n"
+        "io.open(p, 'w')\nio.open(p, 'wb')\n"
     )
     assert _text_writes(tree) == [
         "write_text (line 1)",
@@ -225,6 +231,8 @@ def test_check_flags_each_text_write():
         "open (line 7)",
         "write_text (line 8)",
         "open (line 9)",
+        "open (line 10)",
+        "open (line 13)",
     ]
 
 

@@ -1,7 +1,8 @@
 """The trace writer of `qcsim run` writes the same bytes whether a forked
-child writes half the traces or the calling process writes them all, and a
+child writes the later traces or the calling process writes them all, and a
 run leaves no child behind, whether it returns or fails."""
 
+import errno
 import os
 from pathlib import Path
 
@@ -67,8 +68,8 @@ def test_a_failed_write_in_the_childs_share_exits_1_with_one_error_line(
 ):
     assert run_on(monkeypatch, {0}, tmp_path / "first") == 0
     trace_files = load_report(tmp_path / "first" / "report.json").trace_files
-    # The child writes the second half of the traces, the last one included;
-    # a directory of that name makes its write fail.
+    # The child writes the last traces; a directory named as the last one
+    # makes its write fail.
     blocked = trace_files[-1]
     capsys.readouterr()
     forks = recorded_forks(monkeypatch)
@@ -87,3 +88,26 @@ def test_a_failed_write_in_the_childs_share_exits_1_with_one_error_line(
     assert errors[0].startswith("qcsim: error: ")
     assert errors[0].count("\n") == 1 and errors[0].endswith("\n")
     assert blocked in errors[0] and "Traceback" not in errors[0]
+
+
+def test_a_failed_fork_closes_its_pipe_and_writes_every_trace_here(
+    tmp_path, monkeypatch
+):
+    assert run_on(monkeypatch, {0}, tmp_path / "serial") == 0
+    pipes, pipe = [], os.pipe
+
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "no process left")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_on(monkeypatch, {0, 1}, tmp_path / "unforked") == 0
+    (fds,) = pipes
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert written(tmp_path / "unforked") == written(tmp_path / "serial")
