@@ -260,17 +260,18 @@ _FORK_MIN_VALUES = 10_000
 
 def write_trace_files(out_dir: str | Path, traces) -> tuple[str, ...]:
     """Write each trace to `trace_frame_<frame>.csv` in `out_dir`; return the
-    names.  With `os.fork`, two usable CPUs and `_FORK_MIN_VALUES` values in
-    the traces after the first n // 2 + 1 of n, a forked child writes those
-    and sends any error over a pipe; this process writes the rest, then
-    reaps the child and raises OSError with its message if it failed.  If
-    the fork fails, this process writes every trace."""
+    names.  With `os.fork`, two usable CPUs, n > 1 traces and
+    `_FORK_MIN_VALUES` values in those after the first
+    min(n // 2 + 1, n - 1), a forked child writes them and sends any error
+    over a pipe; this process writes the first ones, then reaps the child
+    and raises OSError with its message if it failed.  If the fork fails,
+    this process writes every trace."""
     names = tuple(f"trace_frame_{t.frame:04d}.csv" for t in traces)
     jobs = list(zip([Path(out_dir) / name for name in names], traces))
     # This process starts first and the child must exit too: it takes one
     # trace over half, but leaves the child at least one.
     split = min(len(jobs) // 2 + 1, len(jobs) - 1)
-    values = sum(2 * len(t.alice) for t in traces[split:])
+    values = sum(2 * len(t.alice) for t in traces[split:]) if split > 0 else 0
     if not hasattr(os, "fork") or usable_cpus() < 2 or values < _FORK_MIN_VALUES:
         _write_traces(jobs)
         return names

@@ -6,11 +6,13 @@ import errno
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcsim import report
 from qcsim.cli import main
 from qcsim.report import load_report
+from qcsim.verification import BlockTraces
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "blocking_session.ini")
 
@@ -61,6 +63,19 @@ def test_forked_and_serial_trace_writers_write_the_same_bytes(tmp_path, monkeypa
     assert len(trace_files) >= 2
     assert set(files) == {*trace_files, "spectrum.csv", "report.json"}
     assert files == written(tmp_path / "serial") == written(tmp_path / "no-fork")
+
+
+def test_a_single_trace_is_written_without_a_fork(tmp_path, monkeypatch):
+    forks = recorded_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(report, "_FORK_MIN_VALUES", 1)
+    trace = BlockTraces(frame=3, alice=np.arange(4.0), bob=np.arange(4.0) / 3)
+    assert report.write_trace_files(tmp_path, (trace,)) == ("trace_frame_0003.csv",)
+    assert forks == []
+    report.write_trace_csv(tmp_path / "serial.csv", trace)
+    assert (tmp_path / "trace_frame_0003.csv").read_bytes() == (
+        tmp_path / "serial.csv"
+    ).read_bytes()
 
 
 def test_a_failed_write_in_the_childs_share_exits_1_with_one_error_line(
