@@ -30,9 +30,6 @@ HIDING_THRESHOLD_R = math.log(3.0) / 4.0
 #: (r ~ 355) or the squared samples summed over a chunk overflow.
 R_MAX = 100.0
 
-_MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
-
 # (pid, executor or None) of this process's row-filling helper thread.
 _helper = None
 _helper_lock = threading.Lock()
@@ -41,11 +38,14 @@ _helper_lock = threading.Lock()
 SqueezeParam = float
 
 
-def _index(value, name: str) -> int:
-    """`value` as a Python int; a bool, NumPy's included, is refused."""
-    if isinstance(value, (bool, np.bool_)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+def _index(value, name: str, bits: int = 32) -> int:
+    """`value` as a Python int, one word of a stream key: an integer in
+    [0, 2**bits).  A bool, NumPy's included, is refused like a float."""
+    if not isinstance(value, (bool, np.bool_)) and hasattr(value, "__index__"):
+        value = operator.index(value)
+        if 0 <= value < 1 << bits:
+            return value
+    raise DomainError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
 
 
 class Quadrature(Enum):
@@ -68,14 +68,12 @@ class RngStream:
     substream_id: int = 0
 
     def __post_init__(self):
-        # NumPy integers become Python ints, which the 64-bit masks need.
+        # NumPy integers become Python ints, which `FrameRows` keys Philox with.
         for name in ("seed", "substream_id"):
-            object.__setattr__(self, name, _index(getattr(self, name), name))
-        if not 0 <= self.seed <= _MASK64:
-            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+            object.__setattr__(self, name, _index(getattr(self, name), name, 64))
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.substream_id & _MASK64], dtype=np.uint64)
+        key = np.array([self.seed, self.substream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def standard_normal(self, shape) -> np.ndarray:
@@ -85,23 +83,19 @@ class RngStream:
     def substream(self, index: int, phase: int = 0) -> "RngStream":
         """Child stream; distinct (phase, index) pairs never collide."""
         index, phase = _index(index, "index"), _index(phase, "phase")
-        if index < 0 or phase < 0:
-            raise DomainError("substream index and phase must be non-negative")
-        return RngStream(self.seed, ((phase & _MASK32) << 32) | (index & _MASK32))
+        return RngStream(self.seed, phase << 32 | index)
 
     def rows(self, frames, phase: int = 0) -> "FrameRows":
         """Child streams `substream(f, phase)` of every frame index f in
         `frames`, drawn together as rows of one array."""
-        # By dtype in an array, by item in a list: np.asarray([1, True]) is int64.
-        if (frames.dtype == bool if isinstance(frames, np.ndarray) else
-                any(isinstance(f, (bool, np.bool_)) for f in frames)):
-            raise DomainError("frames must be integer frame indices, got a bool")
-        frames, phase = np.asarray(frames, dtype=np.int64), _index(phase, "phase")
-        if phase < 0 or (frames.size and frames.min() < 0):
-            raise DomainError("substream index and phase must be non-negative")
-        ids = (np.uint64((phase & _MASK32) << 32)
-               | (frames.astype(np.uint64) & np.uint64(_MASK32)))
-        return FrameRows(self.seed, ids)
+        # An integer array as a whole, anything else item by item:
+        # np.asarray([1, True]) is int64.
+        if not (isinstance(frames, np.ndarray) and frames.dtype.kind in "iu"):
+            frames = [_index(f, "frames") for f in frames]
+        elif frames.size and not (frames.min() >= 0 and frames.max() < 1 << 32):
+            raise DomainError(f"frames must be integers in [0, 2**32), got {frames!r}")
+        phase = _index(phase, "phase")
+        return FrameRows(self.seed, np.uint64(phase << 32) | np.asarray(frames, np.uint64))
 
 
 class FrameRows:
@@ -287,8 +281,8 @@ class HidingWindow:
 def _check_numbers(record, error: type[Exception] = DomainError) -> None:
     """Store each `int` and `float` field of the frozen dataclass `record`
     as a Python int or float.  Raises `error` naming the first field that
-    holds a bool, a string, None (unless its annotation allows None) or
-    any other value that is no integer or real number."""
+    holds a bool, a string, None (unless its annotation allows None), any
+    other value that is no integer or real number, or a NaN or +-inf."""
     for f in fields(record):
         value = getattr(record, f.name)
         if f.type == "int":
@@ -299,7 +293,10 @@ def _check_numbers(record, error: type[Exception] = DomainError) -> None:
             continue
         if isinstance(value, (bool, np.bool_)) or not ok:
             raise error(f"{f.name} must be {kind}, got {value!r}")
-        object.__setattr__(record, f.name, cast(value))
+        value = cast(value)
+        if cast is float and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
+        object.__setattr__(record, f.name, value)
 
 
 def _check_r(r: float) -> float:

@@ -15,7 +15,6 @@ the same as that of a frame-at-a-time run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,15 +100,12 @@ class SessionConfig:
             raise ConfigError(
                 f"slots_per_frame must be >= 2, got {self.slots_per_frame!r}"
             )
-        if not (math.isfinite(self.margin) and 0.0 < self.margin < 1.0):
+        if not 0.0 < self.margin < 1.0:
             raise ConfigError(f"margin must lie in (0, 1), got {self.margin!r}")
-        for name, eta in (("eta_out", self.eta_out), ("eta_back", self.eta_back)):
-            if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1], got {eta!r}")
-        if not (math.isfinite(self.block_prob) and 0.0 <= self.block_prob <= 1.0):
-            raise ConfigError(
-                f"block_prob must lie in [0, 1], got {self.block_prob!r}"
-            )
+        for name in ("eta_out", "eta_back", "block_prob"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
         if not 0 <= self.seed < SEED_SPAN:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 

@@ -115,10 +115,8 @@ class Thresholds:
 
     def __post_init__(self):
         _check_numbers(self)
-        if not (math.isfinite(self.cd_margin_db) and self.cd_margin_db > 0.0):
-            raise DomainError(
-                f"cd margin must be > 0 dB, got {self.cd_margin_db!r}"
-            )
+        if not self.cd_margin_db > 0.0:
+            raise DomainError(f"cd margin must be > 0 dB, got {self.cd_margin_db!r}")
 
     def resolve(self, r: SqueezeParam) -> "Thresholds":
         r = _check_r(r)

@@ -61,6 +61,7 @@ _WRITER_TESTS = "tests/test_trace_writer.py"
 _CHILD_FAILS_TEST = (
     f"{_WRITER_TESTS}::test_a_failed_write_in_the_childs_share_exits_1_with_one_error_line"
 )
+_REFUSALS_TEST = f"{_ROWS_TESTS}::test_frame_rows_reject_negative_indices_and_mismatched_draws"
 _STAGES_TEST = "tests/test_draw_stages.py::test_each_drawing_stage_computes_its_textbook_expression"
 
 MUTANTS = [
@@ -191,6 +192,49 @@ MUTANTS = [
         "            os.write(write_end, str(exc).encode())\n",
         "            pass\n",
         _CHILD_FAILS_TEST,
+    ),
+    # A stream key word may equal 2**bits, which aliases key 0 of the next word.
+    Mutant(
+        _QUADRATURE,
+        "        if 0 <= value < 1 << bits:\n",
+        "        if 0 <= value <= 1 << bits:\n",
+        _REFUSALS_TEST,
+    ),
+    # A record float may be a NaN or an infinity, so a NaN threshold
+    # switches its check off.
+    Mutant(
+        _QUADRATURE,
+        "        if cast is float and not math.isfinite(value):\n",
+        "        if False:\n",
+        "tests/test_verification.py::test_thresholds_reject_non_finite_values",
+    ),
+    # An integer array of frames may hold an index past 32 bits.
+    Mutant(
+        _QUADRATURE,
+        "frames.min() >= 0 and frames.max() < 1 << 32",
+        "frames.min() >= 0",
+        _REFUSALS_TEST,
+    ),
+    # `substream` keys its phase one bit lower than `rows` does.
+    Mutant(
+        _QUADRATURE,
+        "        return RngStream(self.seed, phase << 32 | index)\n",
+        "        return RngStream(self.seed, phase << 31 | index)\n",
+        f"{_ROWS_TESTS}::test_frame_rows_draw_what_each_substream_draws",
+    ),
+    # The return leg's loss draws the outbound leg's vacuum.
+    Mutant(
+        _SESSION,
+        "_PHASE_LOSS_BACK = 4\n",
+        "_PHASE_LOSS_BACK = 3\n",
+        "tests/test_session.py::test_substream_phases_are_distinct",
+    ),
+    # The eavesdropper's source is keyed by another salt.
+    Mutant(
+        _SESSION,
+        "_EVE_SEED_SALT = 0x517CC1B727220A95\n",
+        "_EVE_SEED_SALT = 0x517CC1B727220A96\n",
+        "tests/test_reference_session.py::test_session_matches_frame_at_a_time_reference",
     ),
     # The spectrum may hold one bin more than the cap.
     Mutant(

@@ -276,8 +276,8 @@ def test_expected_sum_variance_rejects_noise_that_a_detector_rejects(noise_var):
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
-    phase=st.integers(min_value=0, max_value=2**33),
-    frames=st.lists(st.integers(min_value=0, max_value=2**33), min_size=1, max_size=5),
+    phase=st.integers(min_value=0, max_value=2**32 - 1),
+    frames=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=5),
     k=st.integers(min_value=1, max_value=4),
     rest=st.lists(st.integers(min_value=0, max_value=9), max_size=2),
 )
@@ -286,8 +286,8 @@ def test_expected_sum_variance_rejects_noise_that_a_detector_rejects(noise_var):
 @example(seed=0, phase=2**32 - 1, frames=[2**32 - 1, 0], k=2, rest=[3])
 @example(seed=2**64 - 1, phase=2**32 - 1, frames=[0, 2**32 - 1], k=1, rest=[5])
 def test_frame_rows_draw_what_each_substream_draws(seed, phase, frames, k, rest):
-    # Indices and phases past 32 bits are masked by RngStream; the batched
-    # rows must mask them the same way.
+    # Indices and phases over their whole key range, [0, 2**32): the
+    # batched rows must key each frame as `substream` does.
     root = RngStream(seed)
     drawn = root.rows(frames, phase).standard_normal((k, len(frames), *rest))
     assert drawn.shape == (k, len(frames), *rest)
@@ -338,21 +338,38 @@ def test_frame_rows_reject_negative_indices_and_mismatched_draws():
         RngStream(1).substream(-1)
     with pytest.raises(ValueError):
         RngStream(1).rows([0, 1], 2).standard_normal((2, 3, 8))
-    # A bool is no integer, NumPy's included, and a seed outside [0, 2**64)
-    # would alias one inside it; each refusal names the argument.
+    # A bool or a float is no integer, NumPy's included, and a key word
+    # outside its range would alias one inside it: a seed or substream id
+    # outside [0, 2**64), an index or phase outside [0, 2**32).  Each
+    # refusal names the argument.
     for build, name in [
         (lambda: RngStream(True), "seed"),
         (lambda: RngStream(np.True_), "seed"),
         (lambda: RngStream(1, False), "substream_id"),
         (lambda: RngStream(-1), "seed"),
         (lambda: RngStream(2**64), "seed"),
+        (lambda: RngStream(1, -1), "substream_id"),
+        (lambda: RngStream(1, 2**64), "substream_id"),
+        (lambda: RngStream(1, 2**64 + 5), "substream_id"),
         (lambda: RngStream(1).substream(True, 0), "index"),
         (lambda: RngStream(1).substream(0, np.False_), "phase"),
+        (lambda: RngStream(1).substream(2**32, 3), "index"),
+        (lambda: RngStream(1).substream(2**32 + 7, 3), "index"),
+        (lambda: RngStream(1).substream(7, 2**32 + 3), "phase"),
+        (lambda: RngStream(1).substream(7.0, 3), "index"),
         (lambda: RngStream(1).rows([True, False], 2), "frames"),
         (lambda: RngStream(1).rows([1, True], 2), "frames"),
         (lambda: RngStream(1).rows((0, np.True_), 2), "frames"),
         (lambda: RngStream(1).rows(np.array([1, 0], dtype=bool), 2), "frames"),
         (lambda: RngStream(1).rows([0, 1], True), "phase"),
+        (lambda: RngStream(1).rows([0, 1], 2**32), "phase"),
+        (lambda: RngStream(1).rows([2**32 + 7], 3), "frames"),
+        (lambda: RngStream(1).rows(np.array([0, -1]), 3), "frames"),
+        (lambda: RngStream(1).rows(np.array([2**32 + 7]), 3), "frames"),
+        (lambda: RngStream(1).rows(np.array([2**32], dtype=np.uint64), 3), "frames"),
+        (lambda: RngStream(1).rows([1.9]), "frames"),
+        (lambda: RngStream(1).rows(np.array([1.9])), "frames"),
+        (lambda: RngStream(1).rows(["1"]), "frames"),
     ]:
         with pytest.raises(DomainError, match=name):
             build()

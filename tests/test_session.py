@@ -63,6 +63,17 @@ def test_intercept_resend_preserves_bits_but_aborts():
     assert list(transcript.eve.decoded_bits)  # she decoded every returned frame
 
 
+def test_a_nan_threshold_cannot_accept_an_intercept_resend_session():
+    # A NaN threshold makes its comparison in `verdict` false, so it would
+    # flag nothing and accept this session, which the defaults abort.
+    cfg = _config(key_bits="10110", seed=11, frames=60, slots_per_frame=1000,
+                  block_prob=0.35, attack=InterceptResend())
+    reasons = ("trace_anticorrelation_lost", "rms_sum_diff_equal")
+    assert run_session(cfg).verdict.reasons == reasons
+    with pytest.raises(DomainError, match="pearson must be finite"):
+        replace(cfg, thresholds=Thresholds(pearson=math.nan, rms_ratio=math.nan))
+
+
 def test_full_blocking_aborts_without_key():
     transcript = run_session(_config(block_prob=1.0, frames=8))
     assert transcript.sent_bits == ""
@@ -277,6 +288,20 @@ def test_config_validation_messages_name_fields():
         (Qnd, "measurement_var", "1.0"),
     ]:
         with pytest.raises(DomainError, match=f"{name} must be a real number"):
+            cls(**{name: value})
+    # A NaN or an infinity in any float field is refused by the field's name.
+    for name, value in [("r", math.nan), ("margin", math.inf),
+                        ("eta_back", -math.inf), ("block_prob", math.nan)]:
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            _config(**{name: value})
+    for cls, name, value in [
+        (DetectorConfig, "electronic_noise_var", math.inf),
+        (SpectrumSettings, "span_high_hz", math.inf),
+        (Tap, "tau", math.nan),
+        (InterceptResend, "fake_r", math.inf),
+        (Qnd, "measurement_var", math.nan),
+    ]:
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
             cls(**{name: value})
 
 

@@ -2,8 +2,8 @@
 used in that module, only the optical elements draw normals, only the
 normal draw starts threads, its helper thread runs no stage, the
 session's draws ahead are its only way onto that thread, only the trace
-writer forks, one function counts the usable CPUs, and every file is
-written as bytes.
+writer forks, one function counts the usable CPUs, every file is
+written as bytes, and every config record checks its numbers first.
 
 `__init__.py` is left out, because its imports are the package's public
 names and are re-exported rather than used.
@@ -393,3 +393,71 @@ def test_check_flags_another_callable_submitted_to_the_helper():
     prefetch.body.append(ast.parse("executor.submit(self.standard_normal, shape)").body[0])
     assert sorted(_submitted(tree)) == ["standard_normal", "work"]
     assert _callers(tree, "submit") == ["FrameRows.prefetch"] * 2
+
+
+def _config_records() -> set[str]:
+    """The classes whose keys `config._KNOWN_KEYS` reads, by name, with
+    `ATTACKS` read as its spec classes."""
+    from qcsim import config
+    from qcsim.adversary import ATTACKS
+
+    tree = ast.parse((SRC / "config.py").read_text())
+    (known,) = [n.value for n in tree.body if isinstance(n, ast.Assign)
+                and getattr(n.targets[0], "id", None) == "_KNOWN_KEYS"]
+    records = set()
+    for name in {n.id for n in ast.walk(known) if isinstance(n, ast.Name)}:
+        value = vars(config).get(name)
+        if value is ATTACKS:
+            records |= {cls.__name__ for cls in ATTACKS.values()}
+        elif isinstance(value, type):
+            records.add(name)
+    return records
+
+
+def _numbers_unchecked(tree: ast.Module, records: set[str]) -> list[str]:
+    """The classes of `tree` named in `records` that have an `int` or
+    `float` field but whose `__post_init__` does not start with
+    `_check_numbers(self`, in source order."""
+    found = []
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name in records):
+            continue
+        types = [ast.unparse(n.annotation) for n in node.body if isinstance(n, ast.AnnAssign)]
+        if not any(t == "int" or t.startswith("float") for t in types):
+            continue
+        post_init = [n.body[0] for n in node.body if getattr(n, "name", "") == "__post_init__"]
+        first = getattr(post_init[0], "value", None) if post_init else None
+        if not (isinstance(first, ast.Call) and getattr(first.func, "id", None)
+                == "_check_numbers" and first.args and ast.unparse(first.args[0]) == "self"):
+            found.append(node.name)
+    return found
+
+
+def test_every_config_record_checks_its_numbers_first():
+    # `_check_numbers` is the one type and finiteness rule of a record's
+    # numbers, so a field added later gets it with no check of its own.
+    records, trees = _config_records(), _trees()
+    assert {"SessionConfig", "Thresholds", "SpectrumSettings", "Tap", "Qnd"} <= records
+    assert records <= _defined_names(trees)
+    assert [name for tree in trees for name in _numbers_unchecked(tree, records)] == []
+
+
+def test_check_flags_a_record_that_checks_its_numbers_late_or_never():
+    tree = ast.parse((SRC / "adversary.py").read_text())
+    tap = next(n for n in tree.body if getattr(n, "name", "") == "Tap")
+    (post_init,) = [n for n in tap.body if getattr(n, "name", "") == "__post_init__"]
+    post_init.body.reverse()
+    no_attack = next(n for n in tree.body if getattr(n, "name", "") == "NoAttack")
+    no_attack.body.append(ast.parse("alpha: float = 0.05").body[0])
+    assert _numbers_unchecked(tree, _config_records()) == ["NoAttack", "Tap"]
+    tree = ast.parse(
+        "class A:\n    n: int = 1\n    def __post_init__(self):\n        check(self)\n"
+        "class B:\n    s: str = ''\n"
+        "class C:\n    x: float | None = None\n"
+        "class D:\n    x: float = 1.0\n    def __post_init__(self):\n"
+        "        _check_numbers(self, ConfigError)\n"
+        "class E:\n    x: float = 1.0\n    def __post_init__(self):\n"
+        "        _check_numbers(other)\n"
+        "class F:\n    x: float = 1.0\n"
+    )
+    assert _numbers_unchecked(tree, {"A", "B", "C", "D", "E"}) == ["A", "C", "E"]

@@ -191,8 +191,19 @@ def test_thresholds_resolve_r_aware_defaults():
 
 @pytest.mark.parametrize("margin", [0.0, -1.0, math.inf, math.nan])
 def test_thresholds_reject_non_positive_cd_margin(margin):
-    with pytest.raises(DomainError, match="cd margin"):
+    # A non-finite margin is refused by the one rule for record floats,
+    # which names the field.
+    match = "cd margin must be > 0" if math.isfinite(margin) else "cd_margin_db must be finite"
+    with pytest.raises(DomainError, match=match):
         Thresholds(cd_margin_db=margin)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["pearson", "rms_ratio"])
+def test_thresholds_reject_non_finite_values(name, value):
+    # A NaN threshold makes its comparison false, so its check flags nothing.
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        Thresholds(**{name: value})
 
 
 def _honest_stats():
