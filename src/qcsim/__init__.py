@@ -24,7 +24,7 @@ from .quadrature import (
     sample_slots,
 )
 from .report import PACKAGE_VERSION
-from .session import SessionConfig, run_session
+from .session import SessionConfig, SweepPoint, run_session, sweep
 from .verification import VerdictStatus
 
 __version__ = PACKAGE_VERSION

@@ -10,17 +10,12 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .adversary import ATTACK_SWEEPS, NoAttack, swept_attack
-from .codec import signal_amplitude_for
 from .config import load_config
-from .detection import bell_measure, correlation_degree, spectrum
-from .errors import ConfigError, HidingWindowError, SimulationError
-from .quadrature import RngStream, apply_loss, sample_slots
+from .detection import spectrum
+from .errors import ConfigError, SimulationError
+from .quadrature import RngStream
 from .report import (
     build_run_report,
     fmt,
@@ -32,13 +27,10 @@ from .report import (
 from .session import (
     ABORT_EVE_SUSPECTED,
     ABORT_NO_KEY,
-    SEED_SPAN,
-    _PHASE_PROBE,
+    SWEEP_PARAMS,
     _PHASE_SPECTRUM,
-    SessionConfig,
-    VerdictStatus,
-    compare_keys,
     run_session,
+    sweep,
 )
 
 EXIT_OK = 0
@@ -48,17 +40,8 @@ EXIT_NO_KEY = 3
 
 ABORT_EXIT_CODES = {ABORT_EVE_SUSPECTED: EXIT_EVE_SUSPECTED, ABORT_NO_KEY: EXIT_NO_KEY}
 
-#: Sweep parameters that set a session field: name -> SessionConfig field.
-SESSION_SWEEPS = {"r": "r", "eta": "eta_out", "margin": "margin"}
-
-SWEEP_PARAMS = (*SESSION_SWEEPS, *ATTACK_SWEEPS)
-
 #: Most points a sweep grid may hold.
 MAX_GRID_POINTS = 1000
-
-# Sweep point i, session k runs at seed + stride*(i+1) + k; more sessions per
-# point than the stride would reuse seeds of the next point.
-_POINT_SEED_STRIDE = 7919
 
 # Names of the files a run may write besides report.json: frame numbers
 # are written with at least four digits.
@@ -206,104 +189,27 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _apply_sweep_param(cfg: SessionConfig, name: str, value: float) -> SessionConfig:
-    if name in ATTACK_SWEEPS:
-        return replace(cfg, attack=swept_attack(cfg.attack, name, value))
-    return replace(cfg, **{SESSION_SWEEPS[name]: value})
-
-
-def _sweep_point(cfg: SessionConfig, name: str, value: float):
-    """The config of one grid point, and whether its hiding window is empty
-    (a probe point, where no key can be encoded).  A value outside its
-    parameter's domain raises ConfigError naming the point."""
-    try:
-        point_cfg = _apply_sweep_param(cfg, name, value)
-        signal_amplitude_for(point_cfg.r, point_cfg.margin)
-    except HidingWindowError:
-        return point_cfg, True
-    except SimulationError as exc:
-        raise ConfigError(f"grid point {name}={fmt(value)}: {exc}") from None
-    return point_cfg, False
-
-
-def _cd_probe(cfg: SessionConfig, seed: int) -> float:
-    """Correlation degree of an unmodulated, unattacked session (used when
-    the hiding window is empty and no key can be encoded)."""
-    n, eta = cfg.frames * cfg.slots_per_frame, cfg.eta_out * cfg.eta_back
-    root = RngStream(seed)
-    slots = sample_slots(cfg.r, root.substream(0, _PHASE_PROBE), n)
-    x, y = apply_loss(slots.x1, slots.y1, eta, root.substream(1, _PHASE_PROBE))
-    joint = bell_measure(
-        (x, y), (slots.x2, slots.y2), cfg.detector, root.substream(2, _PHASE_PROBE)
-    )
-    return correlation_degree(joint).cd_db
-
-
 def _cmd_sweep(args) -> int:
-    if not 1 <= args.sessions_per_point <= _POINT_SEED_STRIDE:
-        raise ConfigError(
-            f"--sessions-per-point must lie in [1, {_POINT_SEED_STRIDE}], "
-            f"got {args.sessions_per_point}"
-        )
-    base_cfg, _ = load_config(args.config, seed_override=args.seed)
-    values = _parse_grid(args.grid)
-    if args.param not in SWEEP_PARAMS:
-        raise ConfigError(
-            f"unknown sweep parameter {args.param!r}; expected one of "
-            f"{', '.join(SWEEP_PARAMS)}"
-        )
-
-    # Every point and seed is checked before the first session runs.
-    points = [_sweep_point(base_cfg, args.param, value) for value in values]
-    last_seed = (
-        base_cfg.seed + _POINT_SEED_STRIDE * len(values) + args.sessions_per_point - 1
-    )
-    if last_seed >= SEED_SPAN:
-        raise ConfigError(
-            f"seed {base_cfg.seed} is too large for this sweep: its last session "
-            f"would run at seed {last_seed}, outside [0, 2**64)"
-        )
+    cfg, _ = load_config(args.config, seed_override=args.seed)
+    points = sweep(cfg, args.param, _parse_grid(args.grid), args.sessions_per_point)
 
     lines = ["param,value,cd_db,ber,detection_rate"]
-    for index, (value, (point_cfg, probe)) in enumerate(zip(values, points)):
-        point_seed = base_cfg.seed + _POINT_SEED_STRIDE * (index + 1)
-        if probe:
-            # The probe runs no attack, so it measures an honest channel only.
-            kind, cd_db = point_cfg.attack.kind, ""
-            why = f", and cd_db is blank: the probe runs no {kind} attack"
-            if kind == NoAttack.kind:
-                cd_db, why = fmt(_cd_probe(point_cfg, point_seed)), ""
-            lines.append(f"{args.param},{fmt(value)},{cd_db},,")
+    for point in points:
+        columns = (point.value, point.cd_db, point.ber, point.detection_rate)
+        lines.append(",".join([args.param, *("" if x is None else fmt(x) for x in columns)]))
+        if point.probe:
+            why = f", and cd_db is blank: the probe runs no {point.config.attack.kind} attack"
             print(
-                f"qcsim: note: {args.param}={fmt(value)} leaves no hiding window; "
-                f"no key can be encoded there{why}",
+                f"qcsim: note: {args.param}={fmt(point.value)} leaves no hiding window; "
+                f"no key can be encoded there{'' if point.cd_db is not None else why}",
                 file=sys.stderr,
             )
-            continue
-        cds, bers, detections = [], [], []
-        for k in range(args.sessions_per_point):
-            transcript = run_session(replace(point_cfg, seed=point_seed + k))
-            if transcript.cd is not None:
-                cds.append(transcript.cd.measured_plus_db)
-            ber = compare_keys(transcript.sent_bits, transcript.decoded_bits).ber
-            if ber is not None:
-                bers.append(ber)
-            detections.append(
-                transcript.verdict.status is VerdictStatus.EVE_SUSPECTED
-            )
-        cd_db = float(np.mean(cds)) if cds else float("nan")
-        # Only sessions that compared bits have an error rate to average.
-        ber = fmt(float(np.mean(bers))) if bers else ""
-        lines.append(
-            f"{args.param},{fmt(value)},{fmt(cd_db)},{ber},"
-            f"{fmt(float(np.mean(detections)))}"
-        )
 
     out_path = Path(args.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     write_file(out_path, "\n".join(lines) + "\n")
-    print(f"wrote {out_path} ({len(values)} grid points)")
+    print(f"wrote {out_path} ({len(points)} grid points)")
     return EXIT_OK
 
 

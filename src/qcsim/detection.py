@@ -39,17 +39,22 @@ class DetectorConfig:
                 f"electronic noise variance must be >= 0, got {self.electronic_noise_var!r}"
             )
 
-    def add_noise(self, a, b, rng: RngStream | FrameRows):
-        """`a` and `b` each plus independent zero-mean electronic noise of the
-        configured variance, from one (2, *shape) draw; unchanged, and
-        nothing drawn, when the variance is 0.  The sums are formed in the
-        draw, as its (non-contiguous) rows; `a` and `b` are not written."""
+    def add_noise(self, channels, rng: RngStream | FrameRows):
+        """The two arrays `channels` yields, each plus independent zero-mean
+        electronic noise of the configured variance, from one (2, *shape)
+        draw; unchanged, and nothing drawn, when the variance is 0.  The sums
+        are formed in the draw, as its (non-contiguous) rows, each before the
+        next channel is taken, so a generator of channels holds one at a
+        time.  No channel is written."""
         if self.electronic_noise_var == 0.0:
-            return a, b
+            return tuple(channels)
+        channels = iter(channels)
+        a = next(channels)
         noise = rng.standard_normal((2, *np.shape(a)))
         noise *= math.sqrt(self.electronic_noise_var)
         noise[0] += a
-        noise[1] += b
+        del a
+        noise[1] += next(channels)
         return noise[0], noise[1]
 
 
@@ -70,8 +75,13 @@ def bell_measure(
     independent zero-mean electronic noise of the configured variance.  The
     outputs may be the two (non-contiguous) rows of one noise draw.
     """
-    d = cfg.add_noise(received[0] + idler[0], received[1] - idler[1], rng)
-    return JointMeasurement(*d)
+    return JointMeasurement(*cfg.add_noise(_joint_sums(received, idler), rng))
+
+
+def _joint_sums(received, idler):
+    """x1' + x2, then y1' - y2, each formed when it is asked for."""
+    yield received[0] + idler[0]
+    yield received[1] - idler[1]
 
 
 @dataclass(frozen=True)

@@ -282,7 +282,8 @@ def _check_numbers(record, error: type[Exception] = DomainError) -> None:
     """Store each `int` and `float` field of the frozen dataclass `record`
     as a Python int or float.  Raises `error` naming the first field that
     holds a bool, a string, None (unless its annotation allows None), any
-    other value that is no integer or real number, or a NaN or +-inf."""
+    other value that is no integer or real number, or a NaN, +-inf or a
+    number too large for a float."""
     for f in fields(record):
         value = getattr(record, f.name)
         if f.type == "int":
@@ -293,7 +294,12 @@ def _check_numbers(record, error: type[Exception] = DomainError) -> None:
             continue
         if isinstance(value, (bool, np.bool_)) or not ok:
             raise error(f"{f.name} must be {kind}, got {value!r}")
-        value = cast(value)
+        try:
+            value = cast(value)
+        except OverflowError:  # an int or a Fraction past the largest float
+            raise error(
+                f"{f.name} must be finite, got a number too large for a float"
+            ) from None
         if cast is float and not math.isfinite(value):
             raise error(f"{f.name} must be finite, got {value!r}")
         object.__setattr__(record, f.name, value)

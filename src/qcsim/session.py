@@ -15,14 +15,16 @@ the same as that of a frame-at-a-time run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adversary import AttackSpec, Eavesdropper, EveRecord, NoAttack
+from .adversary import (
+    ATTACK_SWEEPS, AttackSpec, Eavesdropper, EveRecord, NoAttack, swept_attack,
+)
 from .codec import decode_bit, encode_bit, signal_amplitude_for
 from .detection import DetectorConfig, bell_measure, correlation_degree, db_below_snl
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, HidingWindowError, SimulationError
 from .quadrature import (
     Quadrature,
     RngStream,
@@ -54,7 +56,7 @@ _PHASE_DETECTOR = 5
 _PHASE_SCOPES = 6
 _PHASE_ATTACK = 7
 _PHASE_SPECTRUM = 1000  # the CLI's spectrum traces
-_PHASE_PROBE = 1001  # the CLI's unmodulated sweep probe
+_PHASE_PROBE = 1001  # the sweep's unmodulated probe
 
 # The attacker's private source randomness lives in its own keyspace.
 _EVE_SEED_SALT = 0x517CC1B727220A95
@@ -394,3 +396,95 @@ def run_session(cfg: SessionConfig) -> SessionTranscript:
         outcome=outcome,
         eve=eve.record if eve is not None else None,
     )
+
+
+#: Sweep parameters that set a session field: name -> SessionConfig field.
+SESSION_SWEEPS = {"r": "r", "eta": "eta_out", "margin": "margin"}
+SWEEP_PARAMS = (*SESSION_SWEEPS, *ATTACK_SWEEPS)
+
+# Sweep point i, session k runs at seed + stride*(i+1) + k; more sessions per
+# point than the stride would reuse seeds of the next point.
+_POINT_SEED_STRIDE = 7919
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One grid point of `sweep`: the value, the config of its first session
+    (session k runs at seed ``config.seed + k``) and its CSV columns, None
+    where blank.  A `probe` point has an empty hiding window, so no session
+    runs and `cd_db` is that of an unmodulated probe, None under an attack."""
+
+    value: float
+    config: SessionConfig
+    probe: bool
+    cd_db: float | None  # mean; NaN if no session sent a frame
+    ber: float | None  # mean over the sessions that compared bits
+    detection_rate: float | None  # share of EVE_SUSPECTED verdicts
+
+
+def _point_config(cfg: SessionConfig, name: str, value: float):
+    """The config of grid point `name`=`value`, and whether its hiding
+    window is empty; ConfigError names a point outside the domain."""
+    try:
+        if name in ATTACK_SWEEPS:
+            point = replace(cfg, attack=swept_attack(cfg.attack, name, value))
+        else:
+            point = replace(cfg, **{SESSION_SWEEPS[name]: value})
+        signal_amplitude_for(point.r, point.margin)
+    except HidingWindowError:
+        return point, True
+    except SimulationError as exc:
+        # The value as `report.fmt` writes it; `report` imports this module.
+        raise ConfigError(f"grid point {name}={float(value):.10g}: {exc}") from None
+    return point, False
+
+
+def _cd_probe(cfg: SessionConfig) -> float:
+    """Correlation degree of an unmodulated, unattacked session at
+    `cfg.seed`, all slots one row (used when the hiding window is empty)."""
+    root, eta = RngStream(cfg.seed), cfg.eta_out * cfg.eta_back
+    shape = (1, cfg.frames * cfg.slots_per_frame)
+    slots = sample_slots(cfg.r, root.rows([0], _PHASE_PROBE), shape)
+    x, y = apply_loss(slots.x1, slots.y1, eta, root.rows([1], _PHASE_PROBE))
+    joint = bell_measure(
+        (x, y), (slots.x2, slots.y2), cfg.detector, root.rows([2], _PHASE_PROBE)
+    )
+    return correlation_degree(joint).cd_db[0]
+
+
+def sweep(cfg: SessionConfig, param: str, values, sessions_per_point: int = 4):
+    """One `SweepPoint` per value of `param`, one of `SWEEP_PARAMS`, in order;
+    point i's session k runs at seed ``cfg.seed + 7919*(i+1) + k``.  Raises
+    ConfigError before the first session on a bad count, name, point or seed."""
+    if not 1 <= sessions_per_point <= _POINT_SEED_STRIDE:
+        raise ConfigError(f"--sessions-per-point must lie in [1, {_POINT_SEED_STRIDE}], "
+                          f"got {sessions_per_point}")
+    if param not in SWEEP_PARAMS:
+        expected = ", ".join(SWEEP_PARAMS)
+        raise ConfigError(f"unknown sweep parameter {param!r}; expected one of {expected}")
+    points = [(value, *_point_config(cfg, param, value)) for value in values]
+    last_seed = cfg.seed + _POINT_SEED_STRIDE * len(points) + sessions_per_point - 1
+    if last_seed >= SEED_SPAN:
+        raise ConfigError(f"seed {cfg.seed} is too large for this sweep: its last session "
+                          f"would run at seed {last_seed}, outside [0, 2**64)")
+    done = []
+    for i, (value, point, probe) in enumerate(points):
+        point = replace(point, seed=cfg.seed + _POINT_SEED_STRIDE * (i + 1))
+        if probe:
+            cd_db = _cd_probe(point) if point.attack.kind == NoAttack.kind else None
+            done.append(SweepPoint(value, point, True, cd_db, None, None))
+            continue
+        cds, bers, detections = [], [], []
+        for k in range(sessions_per_point):  # one transcript at a time
+            transcript = run_session(replace(point, seed=point.seed + k))
+            if transcript.cd is not None:
+                cds.append(transcript.cd.measured_plus_db)
+            ber = compare_keys(transcript.sent_bits, transcript.decoded_bits).ber
+            if ber is not None:
+                bers.append(ber)
+            detections.append(transcript.verdict.status is VerdictStatus.EVE_SUSPECTED)
+        cd_db = float(np.mean(cds)) if cds else np.nan
+        ber = float(np.mean(bers)) if bers else None
+        rate = float(np.mean(detections))
+        done.append(SweepPoint(value, point, False, cd_db, ber, rate))
+    return tuple(done)

@@ -67,7 +67,7 @@ def record_block_traces(
         )
     if sender_beam_x.shape != idler_x.shape:
         raise ValueError("sender and receiver traces must have equal length")
-    return cfg.add_noise(sender_beam_x, idler_x, rng)
+    return cfg.add_noise((sender_beam_x, idler_x), rng)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ _QUADRATURE = "src/qcsim/quadrature.py"
 _SESSION = "src/qcsim/session.py"
 _ROWS_TESTS = "tests/test_quadrature.py"
 _REPORT = "src/qcsim/report.py"
+_DETECTION = "src/qcsim/detection.py"
 _RECORD_TEST = "tests/test_report.py::test_transcript_writes_each_record_by_its_fields"
 _WRITER_TESTS = "tests/test_trace_writer.py"
 _CHILD_FAILS_TEST = (
@@ -63,6 +64,7 @@ _CHILD_FAILS_TEST = (
 )
 _REFUSALS_TEST = f"{_ROWS_TESTS}::test_frame_rows_reject_negative_indices_and_mismatched_draws"
 _STAGES_TEST = "tests/test_draw_stages.py::test_each_drawing_stage_computes_its_textbook_expression"
+_SWEEP_TESTS = "tests/test_sweep.py"
 
 MUTANTS = [
     # The threaded draw: a row claimed without the lock.
@@ -163,12 +165,17 @@ MUTANTS = [
     ),
     # The detector adds its noise before scaling it.
     Mutant(
-        "src/qcsim/detection.py",
-        "        noise *= math.sqrt(self.electronic_noise_var)\n"
-        "        noise[0] += a\n        noise[1] += b\n",
-        "        noise[0] += a\n        noise[1] += b\n"
-        "        noise *= math.sqrt(self.electronic_noise_var)\n",
+        _DETECTION,
+        "        noise *= math.sqrt(self.electronic_noise_var)\n        noise[0] += a\n",
+        "        noise[0] += a\n        noise *= math.sqrt(self.electronic_noise_var)\n",
         _STAGES_TEST,
+    ),
+    # The joint measurement forms both sums before adding either.
+    Mutant(
+        _DETECTION,
+        "    yield received[0] + idler[0]\n    yield received[1] - idler[1]\n",
+        "    sums = received[0] + idler[0], received[1] - idler[1]\n    yield from sums\n",
+        "tests/test_draw_stages.py::test_bell_measure_holds_one_joint_sum_beside_its_noise",
     ),
     # The beam splitter's reflected port reads the scaled vacuum.
     Mutant(
@@ -238,10 +245,31 @@ MUTANTS = [
     ),
     # The spectrum may hold one bin more than the cap.
     Mutant(
-        "src/qcsim/detection.py",
+        _DETECTION,
         "+ 1e-9 < MAX_SPECTRUM_BINS:\n",
         "+ 1e-9 < MAX_SPECTRUM_BINS + 1:\n",
         "tests/test_detection.py::test_spectrum_input_validation",
+    ),
+    # A sweep point's cd_db averages the phase channel's correlation degree.
+    Mutant(
+        _SESSION,
+        "cds.append(transcript.cd.measured_plus_db)",
+        "cds.append(transcript.cd.measured_minus_db)",
+        f"{_SWEEP_TESTS}::test_sweep_equals_sessions_run_by_hand_on_a_tau_grid",
+    ),
+    # A no-key abort counts as a detection.
+    Mutant(
+        _SESSION,
+        "detections.append(transcript.verdict.status is VerdictStatus.EVE_SUSPECTED)",
+        "detections.append(not transcript.outcome.accepted)",
+        f"{_SWEEP_TESTS}::test_sweep_marks_what_no_session_measured",
+    ),
+    # A session that compared no bits counts as error free.
+    Mutant(
+        _SESSION,
+        "            if ber is not None:\n                bers.append(ber)\n",
+        "            bers.append(ber or 0.0)\n",
+        f"{_SWEEP_TESTS}::test_sweep_marks_what_no_session_measured",
     ),
 ]
 

@@ -6,11 +6,10 @@ from dataclasses import replace
 import pytest
 
 from qcsim.adversary import InterceptResend, NoAttack, Qnd, Tap
-from qcsim.cli import _apply_sweep_param
 from qcsim.config import load_config
 from qcsim.quadrature import Quadrature
 from qcsim.report import record_to_dict as attack_to_dict
-from qcsim.session import SessionConfig
+from qcsim.session import SessionConfig, _point_config
 
 SESSION = "[session]\nr = 0.4375\nkey_bits = 1\nseed = 1\n"
 
@@ -78,7 +77,7 @@ def test_attack_sweep_params(base, probed):
         "sigma_m": (0.7, Qnd(probed, 0.7)),
     }
     for name, (value, expected) in cases.items():
-        swept = _apply_sweep_param(cfg, name, value)
+        swept, _ = _point_config(cfg, name, value)
         assert type(swept.attack) is type(expected)
         assert swept.attack == expected
         assert replace(swept, attack=base) == cfg

@@ -20,7 +20,6 @@ from qcsim.adversary import ATTACKS, Tap
 from qcsim.cli import (
     MAX_GRID_POINTS,
     SWEEP_PARAMS,
-    _apply_sweep_param,
     _parse_grid,
     main,
 )
@@ -28,7 +27,7 @@ from qcsim.config import load_config
 from qcsim.errors import ConfigError
 from qcsim.quadrature import R_MAX
 from qcsim.report import load_report
-from qcsim.session import ABORT_NO_KEY, SessionConfig, run_session
+from qcsim.session import ABORT_NO_KEY, SessionConfig, _point_config, run_session
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -606,7 +605,7 @@ def test_session_sweep_params_set_only_their_field(name, field):
         key_bits="1", seed=1, r=0.5, margin=0.4, eta_out=0.8, eta_back=0.7,
         attack=Tap(tau=0.2),
     )
-    swept = _apply_sweep_param(cfg, name, 0.3)
+    swept, _ = _point_config(cfg, name, 0.3)
     assert getattr(swept, field) == 0.3
     assert replace(swept, **{field: getattr(cfg, field)}) == cfg
 
@@ -656,8 +655,6 @@ def test_sweep_leaves_ber_empty_without_compared_bits(tmp_path):
 def test_sweep_counts_a_no_key_abort_as_no_detection(tmp_path, monkeypatch):
     # With every frame blocked, each session aborts for want of key bits
     # while its verdict stays honest: the point detects nothing.
-    import qcsim.cli as cli
-
     config = _write(tmp_path, "sweep.ini", SIX_BIT_CONFIG + "block_prob = 1.0\n")
     reasons = []
 
@@ -666,7 +663,7 @@ def test_sweep_counts_a_no_key_abort_as_no_detection(tmp_path, monkeypatch):
         reasons.append(transcript.outcome.reason)
         return transcript
 
-    monkeypatch.setattr(cli, "run_session", recording)
+    monkeypatch.setattr("qcsim.session.run_session", recording)
     out = tmp_path / "blocked.csv"
     argv = ["sweep", "--config", str(config), "--param", "margin", "--grid"]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -751,10 +748,8 @@ def _grid_case(param, grid, named):
 def test_sweep_rejects_unbounded_grid_before_any_session(
     tmp_path, capsys, monkeypatch, param, grid, named
 ):
-    import qcsim.cli as cli
-
-    monkeypatch.setattr(cli, "run_session", _no_session)
-    monkeypatch.setattr(cli, "_cd_probe", _no_session)
+    monkeypatch.setattr("qcsim.session.run_session", _no_session)
+    monkeypatch.setattr("qcsim.session._cd_probe", _no_session)
     config = _write(tmp_path, "sweep.ini", SIX_BIT_CONFIG)
     out = tmp_path / "x.csv"
     argv = ["sweep", "--config", config, "--param", param, "--grid", grid,
@@ -768,16 +763,14 @@ def test_sweep_rejects_unbounded_grid_before_any_session(
 def test_sweep_rejects_seed_that_would_wrap_before_any_session(
     tmp_path, capsys, monkeypatch
 ):
-    import qcsim.cli as cli
-
     config = _write(tmp_path, "sweep.ini", SIX_BIT_CONFIG)
     out = tmp_path / "x.csv"
     # Two points of four sessions: the last runs at seed + 2*7919 + 3.
     seed = 2**64 - 2 * 7919 - 3
     argv = ["sweep", "--config", config, "--param", "tau", "--grid", "0:0.1:0.1",
             "--out", str(out), "--seed"]
-    monkeypatch.setattr(cli, "run_session", _no_session)
-    monkeypatch.setattr(cli, "_cd_probe", _no_session)
+    monkeypatch.setattr("qcsim.session.run_session", _no_session)
+    monkeypatch.setattr("qcsim.session._cd_probe", _no_session)
     assert main([*argv, str(seed)]) == 1
     assert f"seed {2**64}, outside [0, 2**64)" in capsys.readouterr().err
     assert not out.exists()
@@ -858,8 +851,6 @@ SWEEP_BASES = st.fixed_dictionaries(
 def test_sweep_never_raises_on_any_arguments(
     tmp_path, monkeypatch, session, kind, param, grid, sessions, seed
 ):
-    import qcsim.cli as cli
-
     # Only the first session of each grid point runs; the others, which
     # differ from it only in seed, repeat its transcript, so thousands of
     # sessions per point cost about as much as one.
@@ -871,7 +862,7 @@ def test_sweep_never_raises_on_any_arguments(
             first[point] = run_session(cfg)
         return first[point]
 
-    monkeypatch.setattr(cli, "run_session", first_session_of_point)
+    monkeypatch.setattr("qcsim.session.run_session", first_session_of_point)
     run_dir = tmp_path / str(next(_RUNS))
     run_dir.mkdir()
     config = _write(run_dir, "sweep.ini", _ini({"session": session, "attack": {"kind": kind}}))

@@ -8,6 +8,7 @@ independently from each row's `RngStream(seed, id).generator()`.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_each_drawing_stage_computes_its_textbook_expression(
     _same(apply_loss(x, None, eta, rng), (out_x, None))
 
     scale = math.sqrt(noise_var)
-    noisy = DetectorConfig(noise_var).add_noise(x, y, rng)
+    noisy = DetectorConfig(noise_var).add_noise((x, y), rng)
     _same(noisy, (x + scale * vx, y + scale * vy))
 
     readout, kick = vx, vy
@@ -107,7 +108,7 @@ def test_no_stage_writes_its_callers_arrays(frames):
     beams.flags.writeable = False
     x, y, idler_x, idler_y = beams
     for detector in (DetectorConfig(), DetectorConfig(0.0)):
-        detector.add_noise(x, y, rng)
+        detector.add_noise((x, y), rng)
         bell_measure((x, y), (idler_x, idler_y), detector, rng)
     beam_splitter(x, y, 0.6, 0.8, rng)
     beam_splitter(x, None, 0.6, 0.8, rng)
@@ -117,3 +118,41 @@ def test_no_stage_writes_its_callers_arrays(frames):
     tap(x, y, 0.3, rng)
     for quadrature in Quadrature:
         qnd_measure(x, y, quadrature, 0.5, rng)
+
+
+def _two_sums_bell_measure(received, idler, detector, rng):
+    """The joint measurement as it was written before it formed its sums one
+    at a time: both sums first, then the noise draw, then each added."""
+    d_plus, d_minus = received[0] + idler[0], received[1] - idler[1]
+    noise = rng.standard_normal((2, *np.shape(d_plus)))
+    noise *= math.sqrt(detector.electronic_noise_var)
+    noise[0] += d_plus
+    noise[1] += d_minus
+    return noise[0], noise[1]
+
+
+@pytest.mark.parametrize("frames", [None, [0, 3, 4]])
+@pytest.mark.parametrize("noise_var", [0.0, 0.3, 2.0])
+def test_bell_measure_adds_each_sum_as_the_two_sums_form_did(frames, noise_var):
+    detector = DetectorConfig(noise_var)
+    for seed in (0, 5, 2**64 - 1):
+        rng, shape = _rng_and_shape(seed, frames, 33)
+        x, y, idler_x, idler_y = RngStream(seed ^ 1).standard_normal((4, *shape)) * 3.0
+        got = bell_measure((x, y), (idler_x, idler_y), detector, rng)
+        expected = _two_sums_bell_measure((x, y), (idler_x, idler_y), detector, rng)
+        _same((got.d_plus, got.d_minus), expected)
+
+
+def test_bell_measure_holds_one_joint_sum_beside_its_noise():
+    # The noise draw is two chunks and the outputs are its rows, so forming
+    # both sums before adding either would make the peak four chunks.
+    chunk = 3 * 10_000 * 8
+    beams = RngStream(8).standard_normal((4, 3, 10_000))
+    for rng in (RngStream(3).rows([0, 4, 9], 5), RngStream(3).substream(1, 5)):
+        tracemalloc.start()
+        try:
+            bell_measure((beams[0], beams[1]), (beams[2], beams[3]), DetectorConfig(), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 3 * chunk <= peak < 3.5 * chunk

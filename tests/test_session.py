@@ -3,6 +3,7 @@ import os
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -303,6 +304,17 @@ def test_config_validation_messages_name_fields():
     ]:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             cls(**{name: value})
+    # So is an integer or a fraction too large for a float, not left to
+    # raise a bare OverflowError.
+    too_large = "must be finite, got a number too large for a float"
+    for name, value in [("r", 10**400), ("margin", -(10**400)),
+                        ("eta_out", Fraction(10**400, 3))]:
+        with pytest.raises(ConfigError, match=f"{name} {too_large}"):
+            _config(**{name: value})
+    for cls, name in [(Tap, "tau"), (Thresholds, "pearson"),
+                      (DetectorConfig, "electronic_noise_var")]:
+        with pytest.raises(DomainError, match=f"{name} {too_large}"):
+            cls(**{name: 10**400})
 
 
 @pytest.mark.parametrize("np_int", [np.int64, np.uint64])
