@@ -61,7 +61,9 @@ class RngStream:
 
     Substreams use independent Philox keys, so draws from different
     substreams are order-independent and safe to generate in parallel.
-    Children should be derived from a root stream (substream_id 0).
+    Only a root stream (substream_id 0) derives children: a child's
+    substream_id is its whole (phase, index) pair, so a child of a child
+    would draw what a child of the root draws.
     """
 
     seed: int
@@ -80,14 +82,23 @@ class RngStream:
         """One draw of standard normals of `shape` from a fresh generator."""
         return self.generator().standard_normal(shape)
 
+    def _check_root(self) -> None:
+        if self.substream_id:
+            raise DomainError(
+                f"only a root stream derives child streams, got substream_id "
+                f"{self.substream_id}"
+            )
+
     def substream(self, index: int, phase: int = 0) -> "RngStream":
         """Child stream; distinct (phase, index) pairs never collide."""
+        self._check_root()
         index, phase = _index(index, "index"), _index(phase, "phase")
         return RngStream(self.seed, phase << 32 | index)
 
     def rows(self, frames, phase: int = 0) -> "FrameRows":
         """Child streams `substream(f, phase)` of every frame index f in
         `frames`, drawn together as rows of one array."""
+        self._check_root()
         # An integer array as a whole, anything else item by item:
         # np.asarray([1, True]) is int64.
         if not (isinstance(frames, np.ndarray) and frames.dtype.kind in "iu"):
@@ -345,21 +356,6 @@ def _sum_and_difference(p, q):
     diff = p - q
     p += q
     return p, diff
-
-
-def covariance_matrix(r: SqueezeParam) -> np.ndarray:
-    """Covariance of (x1, y1, x2, y2) implied by the variance formulas."""
-    r = _check_r(r)
-    c = math.cosh(2.0 * r)
-    s = math.sinh(2.0 * r)
-    return np.array(
-        [
-            [c, 0.0, -s, 0.0],
-            [0.0, c, 0.0, s],
-            [-s, 0.0, c, 0.0],
-            [0.0, s, 0.0, c],
-        ]
-    )
 
 
 def sample_slots(

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -60,30 +60,28 @@ def _interleave(columns) -> tuple:
     return tuple(values)
 
 
-def _num(x) -> float | None:
-    if x is None:
-        return None
-    return float(fmt(x))
-
-
 def record_to_dict(record):
-    """JSON-ready form of a result or config record.  A dataclass becomes
-    the dict of its fields, and an attack spec also records its `kind`.  A
-    field annotated `float` is written at `FLOAT_SPEC`; any other value is
-    walked by the same rules: an enum is written by its value, an array as
-    its `FLOAT_SPEC` lines, a dict with `str` keys, anything else as it is."""
+    """JSON-ready form of a result or config record, by one rule for every
+    float: a float, NumPy's included, is written at `FLOAT_SPEC` wherever it
+    sits.  A dataclass becomes the dict of its fields, and an attack spec
+    also records its `kind`; an enum is written by its value, an array as
+    its `FLOAT_SPEC` lines, a list or tuple as a list and a dict with `str`
+    keys, each item walked by the same rules; anything else as it is."""
+    if isinstance(record, (float, np.floating)):
+        return float(fmt(record))
     if isinstance(record, Enum):
         return record.value
     if isinstance(record, np.ndarray):
         return _render(_LINE, record).splitlines()
+    if isinstance(record, (list, tuple)):
+        return [record_to_dict(v) for v in record]
     if isinstance(record, dict):
         return {str(k): record_to_dict(v) for k, v in record.items()}
     if not is_dataclass(record):
         return record
     d = {"kind": record.kind} if hasattr(record, "kind") else {}
     for f in fields(record):
-        value = getattr(record, f.name)
-        d[f.name] = _num(value) if f.type.startswith("float") else record_to_dict(value)
+        d[f.name] = record_to_dict(getattr(record, f.name))
     return d
 
 
@@ -128,26 +126,14 @@ def _dumps(obj, newline: str) -> str:
 
 
 def transcript_to_dict(transcript: SessionTranscript) -> dict:
-    """Full session record as JSON-compatible data; deterministic in the config."""
-    t = transcript
-    return {
-        "config": record_to_dict(t.config),
-        "signal_amplitude": _num(t.signal_amplitude),
-        "sent_bits": t.sent_bits,
-        "decoded_bits": t.decoded_bits,
-        "confidences": [_num(c) for c in t.confidences],
-        "blocked_frames": list(t.blocked_frames),
-        "frame_cd": [record_to_dict(fc) for fc in t.frame_cd],
-        "cd": record_to_dict(t.cd),
-        "trace_stats": [
-            {"frame": traces.frame, **record_to_dict(stats)}
-            for traces, stats in zip(t.traces, t.trace_stats)
-        ],
-        "traces": [record_to_dict(traces) for traces in t.traces],
-        "verdict": record_to_dict(t.verdict),
-        "outcome": record_to_dict(t.outcome),
-        "eve": record_to_dict(t.eve),
-    }
+    """Full session record as JSON-compatible data; deterministic in the
+    config.  Each blocked frame's trace statistics also name their frame."""
+    d = record_to_dict(transcript)
+    d["trace_stats"] = [
+        {"frame": traces.frame, **stats}
+        for traces, stats in zip(transcript.traces, d["trace_stats"])
+    ]
+    return d
 
 
 def transcript_to_json(transcript: SessionTranscript) -> str:
@@ -156,7 +142,9 @@ def transcript_to_json(transcript: SessionTranscript) -> str:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Machine-readable session summary; round-trips losslessly through JSON."""
+    """Machine-readable session summary.  It holds the session's own floats,
+    which `to_dict` writes at `FLOAT_SPEC`, so a report loaded from
+    report.json round-trips losslessly through JSON."""
 
     schema_version: str
     version: str
@@ -179,7 +167,7 @@ class RunReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
@@ -206,11 +194,11 @@ def build_run_report(
         key=t.outcome.key,
         sent_bits=t.sent_bits,
         decoded_bits=t.decoded_bits,
-        ber=_num(comparison.ber),
+        ber=comparison.ber,
         mismatches=comparison.mismatches,
-        cd_plus_db=_num(t.cd.measured_plus_db) if t.cd else None,
-        cd_minus_db=_num(t.cd.measured_minus_db) if t.cd else None,
-        cd_expected_db=_num(t.cd.expected_db) if t.cd else None,
+        cd_plus_db=t.cd.measured_plus_db if t.cd else None,
+        cd_minus_db=t.cd.measured_minus_db if t.cd else None,
+        cd_expected_db=t.cd.expected_db if t.cd else None,
         verdict_status=t.verdict.status.value,
         verdict_reasons=t.verdict.reasons,
         blocked_frames=t.blocked_frames,

@@ -15,6 +15,7 @@ the same as that of a frame-at-a-time run.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -425,6 +426,8 @@ class SweepPoint:
 def _point_config(cfg: SessionConfig, name: str, value: float):
     """The config of grid point `name`=`value`, and whether its hiding
     window is empty; ConfigError names a point outside the domain."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"grid point {name}={value!r}: expected a real number")
     try:
         if name in ATTACK_SWEEPS:
             point = replace(cfg, attack=swept_attack(cfg.attack, name, value))
@@ -456,14 +459,17 @@ def sweep(cfg: SessionConfig, param: str, values, sessions_per_point: int = 4):
     """One `SweepPoint` per value of `param`, one of `SWEEP_PARAMS`, in order;
     point i's session k runs at seed ``cfg.seed + 7919*(i+1) + k``.  Raises
     ConfigError before the first session on a bad count, name, point or seed."""
-    if not 1 <= sessions_per_point <= _POINT_SEED_STRIDE:
+    count = sessions_per_point
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ConfigError(f"--sessions-per-point must be an integer, got {count!r}")
+    if not 1 <= count <= _POINT_SEED_STRIDE:
         raise ConfigError(f"--sessions-per-point must lie in [1, {_POINT_SEED_STRIDE}], "
-                          f"got {sessions_per_point}")
+                          f"got {count}")
     if param not in SWEEP_PARAMS:
         expected = ", ".join(SWEEP_PARAMS)
         raise ConfigError(f"unknown sweep parameter {param!r}; expected one of {expected}")
     points = [(value, *_point_config(cfg, param, value)) for value in values]
-    last_seed = cfg.seed + _POINT_SEED_STRIDE * len(points) + sessions_per_point - 1
+    last_seed = cfg.seed + _POINT_SEED_STRIDE * len(points) + count - 1
     if last_seed >= SEED_SPAN:
         raise ConfigError(f"seed {cfg.seed} is too large for this sweep: its last session "
                           f"would run at seed {last_seed}, outside [0, 2**64)")
@@ -475,7 +481,7 @@ def sweep(cfg: SessionConfig, param: str, values, sessions_per_point: int = 4):
             done.append(SweepPoint(value, point, True, cd_db, None, None))
             continue
         cds, bers, detections = [], [], []
-        for k in range(sessions_per_point):  # one transcript at a time
+        for k in range(count):  # one transcript at a time
             transcript = run_session(replace(point, seed=point.seed + k))
             if transcript.cd is not None:
                 cds.append(transcript.cd.measured_plus_db)

@@ -6,12 +6,14 @@ without running anything, that every `old` occurs exactly once and every
 named test exists.  Running this file is opt-in, because each mutant costs a
 full tier-1 run:
 
-    python tests/mutants.py
+    python tests/mutants.py [N ...]
 
 copies the tree to a temporary directory per mutant, applies the patch,
 runs tier-1 without the sha256 digest tests (`DIGEST_TESTS`), so that only a
 test that checks behaviour counts as a kill, and without the check of this
-list, and prints which tests failed and then the survivors.
+list, and prints which tests failed and then the survivors.  With numbers
+it runs only those 1-based entries of `MUTANTS`, in the order given; with
+none it runs them all.
 """
 
 from __future__ import annotations
@@ -116,14 +118,16 @@ MUTANTS = [
         "        job, self._ahead = None, None\n        if job is None:\n",
         f"{_ROWS_TESTS}::test_a_draw_ahead_is_the_draw_and_others_fill_here_meanwhile",
     ),
-    # The record walk rounds only fields annotated exactly `float`, so a
-    # `float | None` threshold is echoed unrounded.
+    # The record walk keeps floats as they are, so every float is written
+    # at full `repr` precision.
     Mutant(
         _REPORT,
-        'if f.type.startswith("float")',
-        'if f.type == "float"',
+        "    if isinstance(record, (float, np.floating)):\n",
+        "    if False:\n",
         _RECORD_TEST,
     ),
+    # Each blocked frame's trace statistics do not name their frame.
+    Mutant(_REPORT, '{"frame": traces.frame, **stats}', "stats", _RECORD_TEST),
     # The record walk keeps enums, so the verdict status is not a string.
     Mutant(_REPORT, "    if isinstance(record, Enum):\n", "    if False:\n", _RECORD_TEST),
     # Arrays are written by `repr`, not at `FLOAT_SPEC`.
@@ -308,9 +312,21 @@ def _failures(mutant: Mutant) -> list[str] | None:
     return failed or ([f"pytest exit status {done.returncode}"] if done.returncode else [])
 
 
-def main() -> int:
+def chosen(args: list[str]) -> list[int]:
+    """The 1-based entries of `MUTANTS` that `args` name, every entry if
+    none; SystemExit names an argument that is no entry."""
+    for arg in args:
+        if not (arg.isdecimal() and 1 <= int(arg) <= len(MUTANTS)):
+            raise SystemExit(
+                f"mutants.py: no entry {arg!r}; the list holds 1 to {len(MUTANTS)}"
+            )
+    return [int(arg) for arg in args] or list(range(1, len(MUTANTS) + 1))
+
+
+def main(args: list[str]) -> int:
     survivors = []
-    for i, mutant in enumerate(MUTANTS, 1):
+    for i in chosen(args):
+        mutant = MUTANTS[i - 1]
         failed = _failures(mutant)
         if failed is None:
             verdict = f"killed: tier-1 ran over {TIMEOUT_S} s"
@@ -329,4 +345,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -19,7 +19,6 @@ from qcsim.quadrature import (
     RngStream,
     apply_loss,
     beam_splitter,
-    covariance_matrix,
     expected_sum_variance,
     hiding_window,
     sample_slots,
@@ -73,6 +72,19 @@ def test_slot_construction_identity():
     assert slot.x2 == pytest.approx(1.0 / math.sqrt(2.0))
     assert slot.y1 == 0.0
     assert slot.y2 == 0.0
+
+
+def covariance_matrix(r: float) -> np.ndarray:
+    """Covariance of (x1, y1, x2, y2) implied by the variance formulas."""
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    return np.array(
+        [
+            [c, 0.0, -s, 0.0],
+            [0.0, c, 0.0, s],
+            [-s, 0.0, c, 0.0],
+            [0.0, s, 0.0, c],
+        ]
+    )
 
 
 @pytest.mark.parametrize("r", [0.0, 0.27, 0.4375, 1.0, 1.7])
@@ -370,6 +382,10 @@ def test_frame_rows_reject_negative_indices_and_mismatched_draws():
         (lambda: RngStream(1).rows([1.9]), "frames"),
         (lambda: RngStream(1).rows(np.array([1.9])), "frames"),
         (lambda: RngStream(1).rows(["1"]), "frames"),
+        # A child's key word is its (phase, index) pair, so a child of a
+        # child would alias a child of the root.
+        (lambda: RngStream(7).substream(2).substream(3), "substream_id"),
+        (lambda: RngStream(7, 5).rows([1], 2), "substream_id"),
     ]:
         with pytest.raises(DomainError, match=name):
             build()

@@ -1,9 +1,10 @@
 """The trace and spectrum writers render every float exactly as a row-by-row
 `format(float(x), ".10g")` does, whatever the value, the deterministic
 JSON dump writes exactly what `json.dumps` writes, and the transcript writes
-each record by its fields."""
+each record by its fields, every float at `FLOAT_SPEC` wherever it sits."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from qcsim.adversary import Qnd, Tap
 from qcsim.detection import NoiseSpectrum
 from qcsim.quadrature import Quadrature
 from qcsim.report import (
+    build_run_report,
     dumps_deterministic,
+    record_to_dict,
     transcript_to_dict,
     write_spectrum_csv,
     write_trace_csv,
@@ -215,3 +218,49 @@ def test_transcript_writes_each_record_by_its_fields(attack, attack_dict):
     assert d["eve"]["observations"] == {
         str(frame): _lines(samples) for frame, samples in t.eve.observations.items()
     }
+
+
+@dataclass(frozen=True)
+class _Planted:
+    # Annotated as strings, as the package's records are.
+    pair: "tuple[float, ...]"
+    samples: "list[float]"
+    by_name: "dict[str, float]"
+    count: "int"
+
+
+def test_every_float_in_a_record_is_written_at_float_spec():
+    # 14 significant digits, so each float written must be the 10-digit rounding.
+    x = 0.12345678901234
+    rounded = float(fmt(x))
+    planted = _Planted(
+        pair=(x, np.float64(-x)),
+        samples=[x, np.float32(x)],
+        by_name={"a": x, "b": -x},
+        count=3,
+    )
+    assert record_to_dict(planted) == {
+        "pair": [rounded, -rounded],
+        "samples": [rounded, float(fmt(np.float32(x)))],
+        "by_name": {"a": rounded, "b": -rounded},
+        "count": 3,
+    }
+    assert type(record_to_dict(planted)["count"]) is int
+
+
+def test_run_report_holds_the_sessions_floats_and_writes_them_rounded():
+    t = run_session(SessionConfig(
+        key_bits="1011", seed=3, frames=12, slots_per_frame=64, block_prob=0.5,
+    ))
+    report = build_run_report(t)
+    assert report.cd_plus_db == t.cd.measured_plus_db
+    d = report.to_dict()
+    for name, value in [
+        ("ber", report.ber),
+        ("cd_plus_db", t.cd.measured_plus_db),
+        ("cd_minus_db", t.cd.measured_minus_db),
+        ("cd_expected_db", t.cd.expected_db),
+    ]:
+        assert d[name] == float(fmt(value))
+    assert d["config"] == record_to_dict(t.config)
+    assert all(x == float(fmt(x)) for x in _floats(d))
