@@ -191,7 +191,10 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_sweep(args) -> int:
     cfg, _ = load_config(args.config, seed_override=args.seed)
-    points = sweep(cfg, args.param, _parse_grid(args.grid), args.sessions_per_point)
+    try:
+        points = sweep(cfg, args.param, _parse_grid(args.grid), args.sessions_per_point)
+    except ConfigError as exc:  # name the flag where the library names its argument
+        raise ConfigError(re.sub("^sessions_per_point ", "--sessions-per-point ", str(exc)))
 
     lines = ["param,value,cd_db,ber,detection_rate"]
     for point in points:

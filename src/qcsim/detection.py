@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import FrameRows, Quadrature, RngStream, _check_numbers, _check_r
+from .quadrature import FrameRows, Quadrature, RngStream, _check_numbers, hiding_window
 
 #: Shot-noise limit of a joint two-beam measurement, in shot-noise units.
 TWO_BEAM_SNL = 2.0
@@ -184,35 +184,28 @@ def spectrum(
     Bins sit at span start + k*rbw.  Per bin, three powers are estimated:
     the shot-noise reference (0 dB by normalization), the single-beam noise
     (cosh 2r + signal)/2, and the correlation noise
-    (2e^-2r + signal + electronic)/2.  Each estimate carries the
-    multiplicative jitter of an `averages`-batch variance estimate,
-    chi2(averages)/averages.  A tone of `signal_power` (the displacement
+    (2e^-2r + electronic + signal)/2, from the edges of `hiding_window(r)`.
+    Each estimate carries the multiplicative jitter of an `averages`-batch
+    variance estimate, chi2(averages)/averages, and is written in dB by
+    `db_below_snl`, negated.  A tone of `signal_power` (the displacement
     s**2) is snapped to the bin center nearest `signal_freq_hz` and
     contributes to exactly one bin.
     """
     lo, hi, rbw_hz = settings.span_low_hz, settings.span_high_hz, settings.rbw_hz
     n_bins = int(math.floor((hi - lo) / rbw_hz + 1e-9)) + 1
     freqs = lo + rbw_hz * np.arange(n_bins)
-    r = _check_r(r)
+    window = hiding_window(r)
 
     sig_power = np.zeros(n_bins)
     if signal_power is not None:
         tone = round((settings.signal_freq_hz - lo) / rbw_hz)
         sig_power[min(int(tone), n_bins - 1)] = signal_power
 
-    c = np.cosh(2.0 * r)
-    corr_floor = 2.0 * np.exp(-2.0 * r) + detector.electronic_noise_var
-
+    corr_floor = window.lower + detector.electronic_noise_var
+    levels = (TWO_BEAM_SNL, window.upper + sig_power, corr_floor + sig_power)
     averages = settings.averages
     jitter = rng.generator().chisquare(averages, size=(3, n_bins)) / averages
-    snl_db = 10.0 * np.log10(jitter[0])
-    single_beam_db = 10.0 * np.log10((c + sig_power) * jitter[1] / TWO_BEAM_SNL)
-    correlation_db = 10.0 * np.log10(
-        (corr_floor + sig_power) * jitter[2] / TWO_BEAM_SNL
+    snl_db, single_beam_db, correlation_db = (
+        -np.array(db_below_snl(level * draw)) for level, draw in zip(levels, jitter)
     )
-    return NoiseSpectrum(
-        freq_hz=freqs,
-        snl_db=snl_db,
-        single_beam_db=single_beam_db,
-        correlation_db=correlation_db,
-    )
+    return NoiseSpectrum(freqs, snl_db, single_beam_db, correlation_db)

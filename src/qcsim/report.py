@@ -2,8 +2,11 @@
 CSVs, spectrum CSVs, and a deterministic transcript dump.
 
 All numeric output goes through one fixed format, `FLOAT_SPEC` (10
-significant digits), so files written from identical runs are byte-identical
-across platforms.
+significant digits).  Files written from identical runs are byte-identical
+wherever NumPy draws the same bit stream (`test_numpy_bit_stream_is_pinned`)
+and the platform's libm gives the same `math.log10`, `math.exp` and
+`math.cosh`.  They do not hang on the CPU's SIMD level: no NumPy
+transcendental ufunc computes a written value.
 """
 
 from __future__ import annotations

@@ -275,6 +275,21 @@ MUTANTS = [
         "            bers.append(ber or 0.0)\n",
         f"{_SWEEP_TESTS}::test_sweep_marks_what_no_session_measured",
     ),
+    # The spectrum's single-beam trace takes NumPy's SIMD log10 again.
+    Mutant(
+        _DETECTION,
+        "    return NoiseSpectrum(freqs, snl_db, single_beam_db, correlation_db)\n",
+        "    single_beam_db = 10.0 * np.log10(levels[1] * jitter[1] / TWO_BEAM_SNL)\n"
+        "    return NoiseSpectrum(freqs, snl_db, single_beam_db, correlation_db)\n",
+        "tests/test_simd_dispatch.py::test_output_bytes_are_the_same_at_the_lowest_simd_target",
+    ),
+    # The library's count refusal names the CLI flag again.
+    Mutant(
+        _SESSION,
+        'f"sessions_per_point must lie in [1, {_POINT_SEED_STRIDE}], "',
+        'f"--sessions-per-point must lie in [1, {_POINT_SEED_STRIDE}], "',
+        f"{_SWEEP_TESTS}::test_sweep_refuses_before_any_session",
+    ),
 ]
 
 

@@ -3,7 +3,8 @@ used in that module, only the optical elements draw normals, only the
 normal draw starts threads, its helper thread runs no stage, the
 session's draws ahead are its only way onto that thread, only the trace
 writer forks, one function counts the usable CPUs, every file is
-written as bytes, and every config record checks its numbers first.
+written as bytes, every config record checks its numbers first, and no
+NumPy transcendental ufunc touches data.
 
 `__init__.py` is left out, because its imports are the package's public
 names and are re-exported rather than used.
@@ -12,6 +13,7 @@ names and are re-exported rather than used.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcsim"
@@ -461,3 +463,66 @@ def test_check_flags_a_record_that_checks_its_numbers_late_or_never():
         "class F:\n    x: float = 1.0\n"
     )
     assert _numbers_unchecked(tree, {"A", "B", "C", "D", "E"}) == ["A", "C", "E"]
+
+
+#: NumPy's transcendental ufuncs, NumPy 2's short aliases included.  Their
+#: SIMD loops round differently per CPU target, so a value they compute
+#: could print differently on another host; `math` computes each scalar
+#: with the platform's libm instead.  `np.sqrt` is correctly rounded on
+#: every target, and stays allowed.
+TRANSCENDENTALS = {
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "logaddexp", "logaddexp2",
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2",
+    "sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh",
+    "asin", "acos", "atan", "atan2", "asinh", "acosh", "atanh",
+    "power", "float_power", "pow",
+}
+
+
+def _numpy_transcendentals(tree: ast.Module) -> list[str]:
+    """Each `np.f` or `numpy.f` attribute, and each name imported from
+    numpy, that is one of `TRANSCENDENTALS`, in source order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in (
+            "np", "numpy"
+        ):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, f"np.{n}") for n in names if n in TRANSCENDENTALS]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_no_numpy_transcendental_touches_data():
+    assert [
+        f"{path.name}: {call}"
+        for path in SRC.glob("*.py")
+        for call in _numpy_transcendentals(ast.parse(path.read_text(), filename=str(path)))
+    ] == []
+
+
+def test_check_flags_each_numpy_transcendental():
+    tree = ast.parse(
+        "np.sqrt(x)\nnp.log10(x)\nnumpy.cosh(r)\nf = np.exp\nnp.expand_dims(x, 0)\n"
+        "np.logical_and(a, b)\nmath.log10(x)\nfrom numpy import power, sqrt\n"
+        "np.arctan2(y, x)\nx.log(2)\nnp.float_power(x, y)\n"
+    )
+    assert _numpy_transcendentals(tree) == [
+        "np.log10 (line 2)",
+        "np.cosh (line 3)",
+        "np.exp (line 4)",
+        "np.power (line 8)",
+        "np.arctan2 (line 9)",
+        "np.float_power (line 11)",
+    ]
+    # Each listed name is a ufunc of this NumPy where it has the name, and
+    # each of its exp and log ufuncs is listed.
+    ufuncs = {name for name, f in vars(np).items() if isinstance(f, np.ufunc)}
+    assert {name for name in TRANSCENDENTALS if hasattr(np, name)} <= ufuncs
+    assert {
+        name for name in ufuncs
+        if name.startswith(("exp", "log")) and not name.startswith("logical")
+    } <= TRANSCENDENTALS

@@ -121,13 +121,13 @@ def _no_session(cfg):
 @pytest.mark.parametrize(
     "param, values, sessions, seed, named",
     [
-        ("tau", [0.1], 0, 41, "--sessions-per-point must lie in [1, 7919], got 0"),
-        ("tau", [0.1], 7920, 41, "--sessions-per-point must lie in [1, 7919], got 7920"),
+        ("tau", [0.1], 0, 41, "sessions_per_point must lie in [1, 7919], got 0"),
+        ("tau", [0.1], 7920, 41, "sessions_per_point must lie in [1, 7919], got 7920"),
         # A count that is no integer, and a grid value that is no real
         # number, are refused before the probe of an empty hiding window.
-        ("r", [0.1], 2.5, 41, "--sessions-per-point must be an integer, got 2.5"),
-        ("r", [0.1], True, 41, "--sessions-per-point must be an integer, got True"),
-        ("r", [0.1], "4", 41, "--sessions-per-point must be an integer, got '4'"),
+        ("r", [0.1], 2.5, 41, "sessions_per_point must be an integer, got 2.5"),
+        ("r", [0.1], True, 41, "sessions_per_point must be an integer, got True"),
+        ("r", [0.1], "4", 41, "sessions_per_point must be an integer, got '4'"),
         ("tau", [0.1, "abc"], 1, 41, "grid point tau='abc': expected a real number"),
         ("r", [0.1, None], 1, 41, "grid point r=None: expected a real number"),
         ("margin", [True], 1, 41, "grid point margin=True: expected a real number"),
