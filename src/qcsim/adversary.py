@@ -28,6 +28,7 @@ from .quadrature import (
     Quadrature,
     RngStream,
     SqueezeParam,
+    _check_interval,
     _check_numbers,
     _check_r,
     _plus,
@@ -55,7 +56,7 @@ class Tap:
 
     def __post_init__(self):
         _check_numbers(self)
-        _check_tau(self.tau)
+        _check_interval(self.tau, "tap fraction", 0.0, 1.0)
 
     def begin(self, amplitude: float, session_r: SqueezeParam, rng: RngStream):
         return ProbeEve(tap, self.tau)
@@ -156,18 +157,11 @@ class ProbeResult:
     eve: float | np.ndarray
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not (math.isfinite(tau) and 0.0 <= tau <= 1.0):
-        raise DomainError(f"tap fraction must lie in [0, 1], got {tau!r}")
-    return tau
-
-
 def tap(x, y, tau: float, rng: RngStream | FrameRows) -> ProbeResult:
     """Beam-splitter tap: the forwarded beam keeps sqrt(1-tau) of the field,
     the eavesdropper port gets sqrt(tau), each with its vacuum counterpart.
     She keeps her port's amplitude quadrature."""
-    tau = _check_tau(tau)
+    tau = _check_interval(tau, "tap fraction", 0.0, 1.0)
     return ProbeResult(*beam_splitter(x, y, math.sqrt(1.0 - tau), math.sqrt(tau), rng))
 
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import FrameRows, Quadrature, RngStream, _check_numbers, hiding_window
+from .quadrature import (
+    FrameRows, Quadrature, RngStream, _check_interval, _check_numbers, hiding_window,
+)
 
 #: Shot-noise limit of a joint two-beam measurement, in shot-noise units.
 TWO_BEAM_SNL = 2.0
@@ -189,7 +191,8 @@ def spectrum(
     variance estimate, chi2(averages)/averages, and is written in dB by
     `db_below_snl`, negated.  A tone of `signal_power` (the displacement
     s**2) is snapped to the bin center nearest `signal_freq_hz` and
-    contributes to exactly one bin.
+    contributes to exactly one bin; a power that is no finite real number
+    >= 0 raises DomainError.
     """
     lo, hi, rbw_hz = settings.span_low_hz, settings.span_high_hz, settings.rbw_hz
     n_bins = int(math.floor((hi - lo) / rbw_hz + 1e-9)) + 1
@@ -198,8 +201,10 @@ def spectrum(
 
     sig_power = np.zeros(n_bins)
     if signal_power is not None:
+        # The largest float as the upper bound refuses +-inf too.
+        power = _check_interval(signal_power, "signal power", 0.0, np.finfo(float).max)
         tone = round((settings.signal_freq_hz - lo) / rbw_hz)
-        sig_power[min(int(tone), n_bins - 1)] = signal_power
+        sig_power[min(int(tone), n_bins - 1)] = power
 
     corr_floor = window.lower + detector.electronic_noise_var
     levels = (TWO_BEAM_SNL, window.upper + sig_power, corr_floor + sig_power)

@@ -48,6 +48,16 @@ def _index(value, name: str, bits: int = 32) -> int:
     raise DomainError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
 
 
+def _check_interval(value, name: str, lo: float, hi: float, error=DomainError) -> float:
+    """`value` as a Python float in [lo, hi].  A bool, NumPy's included, or
+    anything but a real number is refused, as `_index` refuses it."""
+    if not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real):
+        value = float(value)
+        if lo <= value <= hi:
+            return value
+    raise error(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
+
+
 class Quadrature(Enum):
     """Amplitude-like (X) or phase-like (Y) component of the field."""
 
@@ -317,12 +327,7 @@ def _check_numbers(record, error: type[Exception] = DomainError) -> None:
 
 
 def _check_r(r: float) -> float:
-    r = float(r)
-    if not 0.0 <= r <= R_MAX:
-        raise DomainError(
-            f"correlation parameter must lie in [0, {R_MAX:g}], got {r!r}"
-        )
-    return r
+    return _check_interval(r, "correlation parameter", 0.0, R_MAX)
 
 
 def hiding_window(r: SqueezeParam) -> HidingWindow:
@@ -370,9 +375,11 @@ def sample_slots(
     order, u, v, w, z, so the x1 and x2 are those of the full draw.  Each
     quadrature is a contiguous array of its own; the draw is freed on return.
     """
-    shape = tuple(int(s) for s in np.atleast_1d(n))
-    if min(shape) < 1:
+    shape = tuple(n) if np.ndim(n) else (n,)
+    # Before `_index`, so that a count below 1 gets this message.
+    if any(isinstance(s, numbers.Real) and s < 1 for s in shape):
         raise DomainError(f"slot count must be >= 1, got {n}")
+    shape = tuple(_index(s, "slot count", 64) for s in shape)
     return slot_from_normals(r, *rng.standard_normal((4 if phases else 2, *shape)))
 
 
@@ -408,9 +415,7 @@ def apply_loss(x, y, eta: float, rng: RngStream | FrameRows):
     nothing: 1 * x + 0 * vacuum is x for every nonzero x.  With `y` None
     the returned y is None.
     """
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta!r}")
+    eta = _check_interval(eta, "transmission efficiency", 0.0, 1.0)
     if eta == 1.0:
         return x, y
     t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
@@ -427,9 +432,7 @@ def expected_sum_variance(
     so eta is the product over channel legs.
     """
     r = _check_r(r)
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"transmission efficiency must lie in [0, 1], got {eta!r}")
+    eta = _check_interval(eta, "transmission efficiency", 0.0, 1.0)
     if not (math.isfinite(electronic_noise_var) and electronic_noise_var >= 0.0):
         raise DomainError("electronic noise variance must be finite and >= 0")
     c = math.cosh(2.0 * r)

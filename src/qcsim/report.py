@@ -56,11 +56,7 @@ def _render(row: str, *columns) -> str:
 
 def _interleave(columns) -> tuple:
     """The values of equal-length array columns, row by row."""
-    k = len(columns)
-    values = [None] * (len(columns[0]) * k)
-    for i, column in enumerate(columns):
-        values[i::k] = column.tolist()
-    return tuple(values)
+    return tuple(np.stack(columns, axis=1).ravel().tolist())
 
 
 def record_to_dict(record):

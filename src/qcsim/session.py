@@ -29,6 +29,7 @@ from .errors import ConfigError, DomainError, HidingWindowError, SimulationError
 from .quadrature import (
     Quadrature,
     RngStream,
+    _check_interval,
     _check_numbers,
     _check_r,
     apply_loss,
@@ -106,9 +107,7 @@ class SessionConfig:
         if not 0.0 < self.margin < 1.0:
             raise ConfigError(f"margin must lie in (0, 1), got {self.margin!r}")
         for name in ("eta_out", "eta_back", "block_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+            _check_interval(getattr(self, name), name, 0.0, 1.0, ConfigError)
         if not 0 <= self.seed < SEED_SPAN:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 

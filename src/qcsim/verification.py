@@ -10,26 +10,24 @@ predicted by the configured channel losses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .detection import DetectorConfig
 from .errors import DomainError, ProtocolOrderError
-from .quadrature import FrameRows, RngStream, SqueezeParam, _check_numbers, _check_r
+from .quadrature import (
+    FrameRows, RngStream, SqueezeParam, _check_interval, _check_numbers, _check_r, _index,
+)
 
 
 def schedule_blocks(n_frames: int, block_prob: float, rng: RngStream) -> np.ndarray:
     """Frames the sender interrupts, drawn from the sender's private
     randomness: a boolean mask that blocks each frame independently with
     probability block_prob."""
-    n_frames = int(n_frames)
-    block_prob = float(block_prob)
-    if n_frames < 0:
-        raise DomainError(f"frame count must be >= 0, got {n_frames}")
-    if not (math.isfinite(block_prob) and 0.0 <= block_prob <= 1.0):
-        raise DomainError(f"block probability must lie in [0, 1], got {block_prob!r}")
+    n_frames = _index(n_frames, "frame count", 64)
+    block_prob = _check_interval(block_prob, "block probability", 0.0, 1.0)
     return rng.generator().random(n_frames) < block_prob
 
 
@@ -120,19 +118,14 @@ class Thresholds:
 
     def resolve(self, r: SqueezeParam) -> "Thresholds":
         r = _check_r(r)
-        pearson = self.pearson
+        pearson, rms_ratio = self.pearson, self.rms_ratio
         if pearson is None:
             # Half the anticorrelation an honest lossless source would show.
             pearson = -math.tanh(2.0 * r) / 2.0
-        rms_ratio = self.rms_ratio
         if rms_ratio is None:
             # Midpoint between the honest ratio e^-2r and the uncorrelated 1.
             rms_ratio = (math.exp(-2.0 * r) + 1.0) / 2.0
-        return Thresholds(
-            pearson=float(pearson),
-            rms_ratio=float(rms_ratio),
-            cd_margin_db=float(self.cd_margin_db),
-        )
+        return replace(self, pearson=pearson, rms_ratio=rms_ratio)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,7 @@ _CHILD_FAILS_TEST = (
 _REFUSALS_TEST = f"{_ROWS_TESTS}::test_frame_rows_reject_negative_indices_and_mismatched_draws"
 _STAGES_TEST = "tests/test_draw_stages.py::test_each_drawing_stage_computes_its_textbook_expression"
 _SWEEP_TESTS = "tests/test_sweep.py"
+_INTERVAL_TEST = "tests/test_interval_checks.py::test_each_stage_refuses_with_its_exception_and_text"
 
 MUTANTS = [
     # The threaded draw: a row claimed without the lock.
@@ -289,6 +290,27 @@ MUTANTS = [
         'f"sessions_per_point must lie in [1, {_POINT_SEED_STRIDE}], "',
         'f"--sessions-per-point must lie in [1, {_POINT_SEED_STRIDE}], "',
         f"{_SWEEP_TESTS}::test_sweep_refuses_before_any_session",
+    ),
+    # The interval rule leaves out its lower edge.
+    Mutant(
+        _QUADRATURE,
+        "        if lo <= value <= hi:\n",
+        "        if lo < value <= hi:\n",
+        f"{_ROWS_TESTS}::test_the_interval_rule_returns_a_python_float_at_either_edge",
+    ),
+    # The interval rule reads a bool as 0 or 1 again.
+    Mutant(
+        _QUADRATURE,
+        "    if not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real):\n",
+        "    if isinstance(value, numbers.Real):\n",
+        _INTERVAL_TEST,
+    ),
+    # The frame count is cut to an integer again.
+    Mutant(
+        "src/qcsim/verification.py",
+        '    n_frames = _index(n_frames, "frame count", 64)\n',
+        "    n_frames = int(n_frames)\n",
+        _INTERVAL_TEST,
     ),
 ]
 

@@ -306,6 +306,23 @@ def test_spectrum_input_validation():
         SpectrumSettings(span_low_hz=-1e308, span_high_hz=1e308)
 
 
+@pytest.mark.parametrize(
+    "power", [-5.0, -1e-300, math.nan, math.inf, -math.inf, True, np.bool_(False), "1", [1.0]]
+)
+def test_spectrum_refuses_a_signal_power_that_is_no_finite_real_at_least_0(power):
+    with pytest.raises(DomainError) as raised:
+        spectrum(0.4375, SpectrumSettings(), NOISELESS, RngStream(1), power)
+    assert str(raised.value) == (
+        f"signal power must lie in [0, 1.79769e+308], got {power!r}"
+    )
+
+
+@pytest.mark.parametrize("power", [None, 0.0, 0, np.float32(2.5), 1e300])
+def test_spectrum_takes_no_signal_power_or_one_at_least_0(power):
+    spec = spectrum(0.4375, SpectrumSettings(), NOISELESS, RngStream(1), power)
+    assert np.all(np.isfinite(spec.single_beam_db))
+
+
 def test_spectrum_deterministic_under_stream():
     kwargs = dict(r=1.0, settings=SpectrumSettings(averages=50), detector=NOISELESS)
     a = spectrum(rng=RngStream(36).substream(0), **kwargs)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcsim import quadrature, session
-from qcsim.errors import DomainError
+from qcsim.errors import ConfigError, DomainError
 from qcsim.quadrature import (
     HIDING_THRESHOLD_R,
     RngStream,
@@ -53,6 +53,14 @@ def test_epr_variance_closed_form(r, beam, corr):
 def test_epr_variance_rejects_bad_r(bad):
     with pytest.raises(DomainError):
         hiding_window(bad)
+
+
+def test_the_interval_rule_returns_a_python_float_at_either_edge():
+    for value in (0, 1, np.float32(0.5), np.int64(1), 1.0):
+        checked = quadrature._check_interval(value, "x", 0.0, 1.0)
+        assert type(checked) is float and checked == float(value)
+    with pytest.raises(ConfigError, match=r"^x must lie in \[-1, 2.5\], got 3.0$"):
+        quadrature._check_interval(3, "x", -1.0, 2.5, ConfigError)
 
 
 def test_variance_pair_mutual_consistency():

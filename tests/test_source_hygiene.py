@@ -3,8 +3,9 @@ used in that module, only the optical elements draw normals, only the
 normal draw starts threads, its helper thread runs no stage, the
 session's draws ahead are its only way onto that thread, only the trace
 writer forks, one function counts the usable CPUs, every file is
-written as bytes, every config record checks its numbers first, and no
-NumPy transcendental ufunc touches data.
+written as bytes, every config record checks its numbers first, no
+NumPy transcendental ufunc touches data, and one helper checks each fixed
+closed interval.
 
 `__init__.py` is left out, because its imports are the package's public
 names and are re-exported rather than used.
@@ -526,3 +527,45 @@ def test_check_flags_each_numpy_transcendental():
         name for name in ufuncs
         if name.startswith(("exp", "log")) and not name.startswith("logical")
     } <= TRANSCENDENTALS
+
+
+def _fixed_closed_intervals(tree: ast.Module) -> list[str]:
+    """The functions or classes that hold a chained `0 <= x <= hi` whose
+    upper end is a number or an upper-case constant, such as
+    `0.0 <= eta <= 1.0` or `0.0 <= r <= R_MAX`, one entry per check."""
+
+    def fixed(end):
+        if isinstance(end, ast.Constant):
+            return type(end.value) in (int, float)
+        return isinstance(end, ast.Name) and end.id.isupper()
+
+    return _scopes(tree, lambda node: isinstance(node, ast.Compare)
+                   and [type(op) for op in node.ops] == [ast.LtE, ast.LtE]
+                   and getattr(node.left, "value", None) == 0
+                   and fixed(node.comparators[1]))
+
+
+def test_one_helper_checks_each_fixed_closed_interval():
+    # `_check_interval` refuses bools and non-reals and writes one message
+    # for every bounded scalar; a hand-written check would let `True` by.
+    assert [
+        f"{path.name}: {scope}"
+        for path in MODULES
+        for scope in _fixed_closed_intervals(ast.parse(path.read_text(), filename=str(path)))
+    ] == []
+    tree = ast.parse((SRC / "adversary.py").read_text())
+    assert "_check_tau" not in _package_names() and not _mentions(tree, "_check_tau")
+
+
+def test_check_flags_a_closed_interval_planted_in_the_loss_stage():
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    (loss,) = _definitions(tree, "apply_loss")
+    loss.body.insert(0, ast.parse("assert 0.0 <= eta <= 1.0").body[0])
+    assert _fixed_closed_intervals(tree) == ["apply_loss"]
+    tree = ast.parse(
+        "def f(r, eta):\n    return 0.0 <= r <= R_MAX and 0 <= eta <= 1\n"
+        "class C:\n    ok = 0 <= x <= 2.5\n"
+        "g = lambda m: 0.0 < m < 1.0 or lo <= m <= hi or 0.0 <= m or m <= 1.0\n"
+        "h = 0.0 <= m < 1.0 or 0 <= m <= limit or 1 <= n <= N_MAX or 0 <= m <= x.y\n"
+    )
+    assert _fixed_closed_intervals(tree) == ["f", "f", "C"]
